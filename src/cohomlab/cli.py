@@ -199,18 +199,12 @@ def _cmd_sweep(args) -> int:
     section = cfg.get("sweep")
     if not isinstance(section, dict):
         raise ValueError("config path 'sweep': missing section")
-    preset = dict(cfg.get("preset", {}))
-    family = section.get("family", preset.pop("type", None))
-    if family is None:
-        raise ValueError("config path 'sweep.family': missing")
-    param = section.get("param")
+    profile, grid = profile_from_config(cfg)
     values = _sweep_values(section)
-    n = int(cfg.get("n", 0)) or 2
-    N = int(cfg.get("grid", {}).get("N", 1024))
     tol, _ = _solver_opts(cfg, args)
-    base = {k: v for k, v in preset.items() if k != param}
-    rows = run_sweep(family, values, n=n, N=N, tol=tol, param=param,
-                     base_params=base)
+    rows = run_sweep(profile.preset, values, n=profile.n, N=grid.N, tol=tol,
+                     param=section.get("param"),
+                     base_params=dict(profile.params))
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
              for r in rows]
@@ -218,7 +212,7 @@ def _cmd_sweep(args) -> int:
         ["param", "kappa2", "lambda_min", "gap", "obata_defect", "verdict",
          "error"], table), args.out)
     failed = sum(1 for r in rows if r.error)
-    _say(f"sweep {family} x{len(rows)} rows"
+    _say(f"sweep {profile.preset} x{len(rows)} rows"
          + (f" ({failed} failed)" if failed else ""))
     return 0
 

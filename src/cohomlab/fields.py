@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .geometry import OrbitGeometry, RicciProfile
 from .warp import RadialGrid, Topology
@@ -241,17 +240,17 @@ def reconstruct_potential(field: InvariantField) -> InvariantFunction:
     f = field.values
     grid = field.grid
     dx = grid.dx
+    y = f
     if grid.topology is Topology.PERIODIC:
-        closed = np.concatenate([f, f[:1]])
         total = float(np.sum(f) * dx)
         scale = float(np.max(np.abs(f))) * grid.L or 1.0
         if abs(total) > 1e-10 * scale:
             raise ValueError(
                 f"non-exact field: integral over the period is {total:.3g}")
-        h = cumulative_trapezoid(closed, dx=dx, initial=0.0)[:-1]
-        return InvariantFunction(values=h, grid=grid)
-    h = cumulative_trapezoid(f, dx=dx, initial=0.0)
-    return InvariantFunction(values=h, grid=grid)
+        y = np.concatenate([f, f[:1]])  # close the loop at the seam
+    # scipy's cumulative_trapezoid expression, so results are bit-identical
+    h = np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+    return InvariantFunction(values=h[:f.size], grid=grid)
 
 
 def bochner_residual(h: InvariantFunction, geom: OrbitGeometry,

@@ -5,7 +5,7 @@ the first-eigenvalue (Obata) sphere criterion.
 Everything here composes the geometry, field calculus and spectral
 modules into falsifiable checks: check_bound produces a verdict, the
 rigidity residuals quantify how far a minimizer is from the round
-equality case, and sweep runs families of profiles in parallel.
+equality case, and sweep runs check_bound across a preset family.
 
 Tolerance policy: tol_disc is the discretization uncertainty, measured
 by a grid-doubling difference of the vector eigenvalue (floored at
@@ -17,8 +17,6 @@ declared band before it can be tested numerically.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -29,7 +27,8 @@ from .fields import InvariantField, derivative, weighted_integral
 from .geometry import OrbitGeometry, RicciProfile, orbit_geometry, ricci_profile
 from .spectral import (DEFAULT_TOL, OperatorKind, SpectralResult, assemble,
                        first_nonzero_scalar_eigenvalue, smallest_eigenpair)
-from .warp import RadialGrid, Topology, WarpProfile, ensure_usable, grid_for
+from .warp import (RadialGrid, Topology, WarpProfile, ensure_usable, grid_for,
+                   lookup_preset, make_preset)
 
 RIGID_FLOOR = 1e-4
 DISC_FLOOR = 1e-8
@@ -265,52 +264,33 @@ def obata_check(profile: WarpProfile, N: int = 4096,
 
 # --- parameter sweeps ----------------------------------------------------
 
-_SWEEP_PARAM = {"round": "k", "bump": "eps", "periodicproduct": "a"}
-
-
-def _thread_cap(n_jobs: int) -> int:
-    cap = os.environ.get("COHOMLAB_THREADS")
-    if cap is not None:
-        return max(1, min(n_jobs, int(cap)))
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
 def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
           tol: float = DEFAULT_TOL, param: Optional[str] = None,
           base_params: Optional[dict] = None) -> tuple:
     """check_bound across a preset family; one row per parameter value.
 
-    Rows are computed in parallel (COHOMLAB_THREADS caps the workers)
-    but returned in input order.  A failing row carries its error
-    message instead of aborting the sweep.  obata_defect is
-    |mu1 - n*kappa2| (well-defined for any sign of kappa2).
+    param (default: the family's sweep_param) and base_params are
+    checked against warp.PRESETS before any row runs.  A failing row
+    carries its error message instead of aborting the sweep.
+    obata_defect is |mu1 - n*kappa2| (well-defined for any sign of kappa2).
     """
-    from .warp import make_preset
-
-    key = family.lower().replace("_", "")
-    if param is None:
-        try:
-            param = _SWEEP_PARAM[key]
-        except KeyError:
-            raise ValueError(f"unknown sweep family {family!r}") from None
+    preset = lookup_preset(family)
+    param = preset.sweep_param if param is None else param
     base = dict(base_params or {})
+    preset.check([param, *base])
 
     def run(value: float) -> SweepRow:
         try:
-            prof = make_preset(family, n=n, **{**base, param: float(value)})
+            prof = make_preset(preset.name, n=n, **{**base, param: value})
             rep = check_bound(prof, N=N, tol=tol)
-            return SweepRow(param=float(value), kappa2=rep.kappa2,
+            return SweepRow(param=value, kappa2=rep.kappa2,
                             lambda_min=rep.lambda_min, gap=rep.gap,
                             obata_defect=abs(rep.obata_mu1 - n * rep.kappa2),
                             verdict=rep.verdict)
         except Exception as exc:  # per-row capture, sweep continues
-            return SweepRow(param=float(value), kappa2=float("nan"),
+            return SweepRow(param=value, kappa2=float("nan"),
                             lambda_min=float("nan"), gap=float("nan"),
                             obata_defect=float("nan"), verdict=None,
                             error=f"{type(exc).__name__}: {exc}")
 
-    values = [float(v) for v in values]
-    if len(values) <= 1 or _thread_cap(len(values)) == 1:
-        return tuple(run(v) for v in values)
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(values))) as pool:
-        return tuple(pool.map(run, values))
+    return tuple(run(float(v)) for v in values)

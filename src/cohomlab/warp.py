@@ -11,12 +11,11 @@ seam.  Profiles are immutable and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 ANALYTIC_CLOSURE_TOL = 1e-10
 SPLINE_CLOSURE_TOL = 1e-6
@@ -35,6 +34,7 @@ class WarpProfile:
     phi, dphi, d2phi accept and return numpy arrays (or floats).
     closure_tol separates modeling error from discretization error:
     analytic presets must close to 1e-10, sampled splines to 1e-6.
+    preset is the config preset type, params its (name, value) arguments.
     """
 
     n: int
@@ -45,6 +45,8 @@ class WarpProfile:
     d2phi: Callable
     preset_tag: str
     closure_tol: float = ANALYTIC_CLOSURE_TOL
+    preset: str = ""
+    params: tuple = ()
 
     def __post_init__(self):
         if self.n < 2:
@@ -85,8 +87,6 @@ class RadialGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        if self.topology is Topology.PERIODIC:
-            return (np.arange(self.N) + 0.5) * self.dx
         return (np.arange(self.N) + 0.5) * self.dx
 
 
@@ -127,6 +127,7 @@ def round_profile(k: float, n: int) -> WarpProfile:
         dphi=lambda r: np.cos(k * np.asarray(r, float)),
         d2phi=lambda r: -k * np.sin(k * np.asarray(r, float)),
         preset_tag=f"round(k={k!r})",
+        preset="round", params=(("k", k),),
     )
 
 
@@ -160,6 +161,7 @@ def bump_profile(eps: float, n: int) -> WarpProfile:
         dphi=dphi,
         d2phi=d2phi,
         preset_tag=f"bump(eps={eps!r})",
+        preset="bump", params=(("eps", eps),),
     )
 
 
@@ -180,6 +182,7 @@ def periodic_product_profile(c: float, a: float, n: int,
         dphi=lambda r: a * om * np.cos(om * np.asarray(r, float)),
         d2phi=lambda r: -a * om * om * np.sin(om * np.asarray(r, float)),
         preset_tag=f"periodic_product(c={c!r}, a={a!r})",
+        preset="periodic_product", params=(("c", c), ("a", a), ("L", L)),
     )
 
 
@@ -191,6 +194,8 @@ def profile_from_samples(r: Sequence[float], phi: Sequence[float], n: int,
     ends; periodic splines wrap.  C^2 evaluation is needed because the
     Ricci formulas read phi''.
     """
+    from scipy.interpolate import CubicSpline  # costly import, splines only
+
     r = np.asarray(r, float)
     phi = np.asarray(phi, float)
     if r.ndim != 1 or r.shape != phi.shape or r.size < 4:
@@ -213,27 +218,59 @@ def profile_from_samples(r: Sequence[float], phi: Sequence[float], n: int,
         dphi=lambda x: d1(np.asarray(x, float) + r[0]),
         d2phi=lambda x: d2(np.asarray(x, float) + r[0]),
         preset_tag=f"samples(m={r.size})",
+        preset="samples",
         closure_tol=SPLINE_CLOSURE_TOL,
     )
 
 
-def make_preset(kind: str, n: int, **params) -> WarpProfile:
-    """Build a named preset: Round(k), Bump(eps), PeriodicProduct(c, a).
+@dataclass(frozen=True)
+class Preset:
+    """An analytic preset: builder, parameters with their API defaults,
+    the ones a config must give, the one sweep varies, and topology."""
 
-    Kind is case-insensitive and underscore-insensitive, so the config
-    spelling "periodic_product" and the display name "PeriodicProduct"
-    both work.
-    """
-    kind = kind.lower().replace("_", "")
-    if kind == "round":
-        return round_profile(k=params.pop("k", 1.0), n=n)
-    if kind == "bump":
-        return bump_profile(eps=params.pop("eps", 0.0), n=n)
-    if kind == "periodicproduct":
-        return periodic_product_profile(
-            c=params.pop("c", 1.0), a=params.pop("a", 0.0), n=n,
-            L=params.pop("L", 2.0 * math.pi))
-    raise ValueError(f"unknown preset kind {kind!r}")
+    name: str
+    builder: Callable
+    defaults: dict
+    required: tuple
+    sweep_param: str
+    topology: Topology
+
+    def check(self, names, path: str = "") -> None:
+        """Raise ValueError, naming path + name, on a non-parameter."""
+        for p in names:
+            if p not in self.defaults:
+                where = f"config path '{path}{p}': " if path else ""
+                raise ValueError(
+                    f"{where}preset {self.name!r} has no parameter {p!r} "
+                    f"(it takes {', '.join(self.defaults)})")
+
+
+PRESETS = {p.name: p for p in (
+    Preset("round", round_profile, {"k": 1.0}, ("k",), "k",
+           Topology.SPHERE_LIKE),
+    Preset("bump", bump_profile, {"eps": 0.0}, ("eps",), "eps",
+           Topology.SPHERE_LIKE),
+    Preset("periodic_product", periodic_product_profile,
+           {"c": 1.0, "a": 0.0, "L": 2.0 * math.pi}, ("c", "a"), "a",
+           Topology.PERIODIC),
+)}
+
+
+def lookup_preset(kind: str) -> Preset:
+    """PRESETS entry; "periodic_product" and "PeriodicProduct" both work."""
+    for preset in PRESETS.values():
+        if preset.name.replace("_", "") == kind.lower().replace("_", ""):
+            return preset
+    raise ValueError(f"unknown preset family {kind!r} "
+                     f"(known: {', '.join(PRESETS)})")
+
+
+def make_preset(kind: str, n: int, **params) -> WarpProfile:
+    """Build the PRESETS entry named kind; omitted parameters take their
+    defaults, unknown ones raise ValueError."""
+    preset = lookup_preset(kind)
+    preset.check(params)
+    return preset.builder(n=n, **{**preset.defaults, **params})
 
 
 def _fd1(fn, r, h):
@@ -313,7 +350,7 @@ def ensure_usable(profile: WarpProfile) -> None:
 # --- JSON config schema -------------------------------------------------
 #
 # {"n": int, "topology": "sphere_like"|"periodic",
-#  "preset": {"type": "round"|"bump"|"periodic_product"|"samples", ...},
+#  "preset": {"type": <a PRESETS name>|"samples", <its parameters>},
 #  "grid": {"N": int}}
 
 def _cfg_get(cfg: dict, key: str, path: str):
@@ -336,27 +373,25 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
     preset = _cfg_get(cfg, "preset", "")
     ptype = _cfg_get(preset, "type", "preset.")
 
-    if ptype == "round":
-        prof = round_profile(k=float(_cfg_get(preset, "k", "preset.")), n=n)
-    elif ptype == "bump":
-        prof = bump_profile(eps=float(_cfg_get(preset, "eps", "preset.")), n=n)
-    elif ptype == "periodic_product":
-        prof = periodic_product_profile(
-            c=float(_cfg_get(preset, "c", "preset.")),
-            a=float(_cfg_get(preset, "a", "preset.")),
-            n=n, L=float(preset.get("L", 2.0 * math.pi)))
-    elif ptype == "samples":
+    if ptype == "samples":
         prof = profile_from_samples(
             _cfg_get(preset, "r", "preset."),
             _cfg_get(preset, "phi", "preset."),
             n=n, topology=topology)
     else:
-        raise ValueError(f"config path 'preset.type': unknown type {ptype!r}")
-
-    if prof.topology is not topology:
-        raise ValueError(
-            f"config path 'topology': preset {ptype!r} implies "
-            f"{prof.topology.value!r}, config says {topo_name!r}")
+        entry = PRESETS.get(str(ptype))
+        if entry is None:
+            raise ValueError(
+                f"config path 'preset.type': unknown type {ptype!r}")
+        if entry.topology is not topology:
+            raise ValueError(
+                f"config path 'topology': preset {ptype!r} implies "
+                f"{entry.topology.value!r}, config says {topo_name!r}")
+        entry.check((k for k in preset if k != "type"), path="preset.")
+        prof = entry.builder(n=n, **{
+            p: float(_cfg_get(preset, p, "preset.") if p in entry.required
+                     else preset.get(p, default))
+            for p, default in entry.defaults.items()})
 
     grid_cfg = _cfg_get(cfg, "grid", "")
     N = _cfg_get(grid_cfg, "N", "grid.")
@@ -367,22 +402,13 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
 
 def profile_to_config(profile: WarpProfile, grid: RadialGrid) -> dict:
     """Inverse of profile_from_config for the analytic presets."""
-    tag = profile.preset_tag
-    kind = tag.split("(", 1)[0]
-    params = {}
-    if kind in ("round", "bump", "periodic_product"):
-        inner = tag.split("(", 1)[1].rstrip(")")
-        for part in inner.split(","):
-            key, val = part.split("=")
-            params[key.strip()] = float(val)
-    else:
-        raise ValueError(f"cannot serialize non-preset profile {tag!r}")
-    preset = {"type": kind, **params}
-    if kind == "periodic_product":
-        preset["L"] = profile.L
+    if profile.preset not in PRESETS:
+        raise ValueError(
+            f"cannot serialize non-preset profile {profile.preset_tag!r}")
     return {
         "n": profile.n,
         "topology": profile.topology.value,
-        "preset": preset,
+        "preset": {"type": profile.preset,
+                   **{p: float(v) for p, v in profile.params}},
         "grid": {"N": grid.N},
     }

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +167,34 @@ def test_canonical_config_idempotent(periodic_cfg):
     assert text == again
     assert '"a": 0.29999999999999999' in text  # 17 significant digits
     assert text.index('"grid"') < text.index('"preset"')  # sorted keys
+
+
+@pytest.mark.parametrize("drop, topology, named", [
+    ("n", "sphere_like", "'n'"),
+    (None, "periodic", "'topology'"),
+])
+def test_sweep_config_checked_like_verify(tmp_path, capsys, drop, topology,
+                                          named):
+    cfg = {"n": 2, "topology": topology,
+           "preset": {"type": "round", "k": 1.0}, "grid": {"N": 64},
+           "sweep": {"values": [1.0]}}
+    cfg.pop(drop, None)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["sweep", "--config", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert named in payload["error"]
+
+
+def test_import_skips_interpolate_and_integrate():
+    # scipy.interpolate is loaded only for spline profiles and
+    # scipy.integrate not at all: they dominate cold-start time
+    code = ("import sys, cohomlab; print(sorted(m for m in "
+            "('scipy.interpolate', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_with_start_stop_step(tmp_path, capsys):

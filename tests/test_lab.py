@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -165,17 +164,18 @@ def test_sweep_captures_row_errors():
     assert rows[0].verdict is Verdict.HYPOTHESIS_NOT_MET
 
 
-def test_sweep_thread_cap_protects_determinism(monkeypatch):
-    monkeypatch.setenv("COHOMLAB_THREADS", "1")
-    serial = sweep("Bump", [0.0, 0.1], n=2, N=512)
-    monkeypatch.setenv("COHOMLAB_THREADS", "4")
-    threaded = sweep("Bump", [0.0, 0.1], n=2, N=512)
-    assert serial == threaded
-
-
 def test_sweep_unknown_family():
     with pytest.raises(ValueError, match="family"):
         sweep("torus", [0.1], n=2)
+
+
+def test_sweep_rejects_unknown_parameters():
+    # the family has no such parameter: refuse before any row runs
+    # instead of returning identical rows
+    with pytest.raises(ValueError, match="'eps'"):
+        sweep("Round", [0.1, 0.2], n=2, N=256, param="eps")
+    with pytest.raises(ValueError, match="'cc'"):
+        sweep("PeriodicProduct", [0.1], n=3, N=256, base_params={"cc": 2.0})
 
 
 @settings(max_examples=10, deadline=None)

@@ -74,6 +74,8 @@ def test_make_preset_spellings():
     assert a.preset_tag == b.preset_tag
     with pytest.raises(ValueError):
         make_preset("fancy", n=2)
+    with pytest.raises(ValueError, match="'kk'"):
+        make_preset("Round", n=2, kk=3.0)  # no silent k = 1.0
 
 
 def test_spline_profile_reproduces_samples():
@@ -116,14 +118,16 @@ def test_grid_minimum_size():
 
 
 def test_profile_config_round_trip():
-    p = make_preset("Bump", n=3, eps=0.2)
-    g = grid_for(p, 256)
-    cfg = profile_to_config(p, g)
-    q, gq = profile_from_config(cfg)
-    assert q.preset_tag == p.preset_tag
-    assert gq.N == 256
-    r = np.linspace(0.1, p.L - 0.1, 17)
-    np.testing.assert_allclose(q.phi(r), p.phi(r), rtol=1e-14)
+    for p in (make_preset("Round", n=2, k=2.0),
+              make_preset("Bump", n=3, eps=0.2),
+              make_preset("PeriodicProduct", n=3, c=1.0, a=0.3, L=3.0)):
+        g = grid_for(p, 256)
+        cfg = profile_to_config(p, g)
+        q, gq = profile_from_config(cfg)
+        assert q.preset_tag == p.preset_tag
+        assert (q.L, q.topology, gq.N) == (p.L, p.topology, 256)
+        r = np.linspace(0.1, p.L - 0.1, 17)
+        np.testing.assert_allclose(q.phi(r), p.phi(r), rtol=1e-14)
 
 
 def test_config_errors_name_paths():
@@ -133,6 +137,10 @@ def test_config_errors_name_paths():
     with pytest.raises(ValueError, match="topology"):
         profile_from_config({"n": 2, "topology": "periodic",
                              "preset": {"type": "round", "k": 1.0},
+                             "grid": {"N": 64}})
+    with pytest.raises(ValueError, match="preset.kk"):
+        profile_from_config({"n": 2, "topology": "sphere_like",
+                             "preset": {"type": "round", "k": 1.0, "kk": 3},
                              "grid": {"N": 64}})
 
 
