@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="write JSON/CSV here instead of stdout")
-        p.add_argument("--tol", type=float, help="solver residual tolerance")
+        p.add_argument("--tol", type=float,
+                       help="stop once the eigenvalue changes by at most "
+                            "tol * |lambda| per step (default 1e-12)")
 
     p = sub.add_parser("geometry", help="curvature and weight profiles")
     common(p)

@@ -148,14 +148,30 @@ def weighted_integral(values_interior: np.ndarray, geom: OrbitGeometry) -> float
     return float(np.sum(values_interior * geom.w_interior) * geom.grid.dx)
 
 
+def difference_form(diffs: np.ndarray, cond: np.ndarray, values: np.ndarray,
+                    potential=None) -> float:
+    """Stiffness form sum_cells cond (df)^2 + sum_nodes potential f^2.
+
+    diffs are the cell differences of f, cond the cell conductances
+    w_mid/dx and potential the nodal term dx w |B|^2 (None for the scalar
+    Laplacian).  Every term is nonnegative, so the sum carries no
+    cancellation: the relative rounding error stays at machine
+    precision at any grid size, unlike x . (K x).
+    """
+    num = float(diffs @ (cond * diffs))
+    if potential is not None:
+        num += float(values @ (potential * values))
+    return num
+
+
 def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     """Rayleigh quotient F(V) = int (f'^2 + |B|^2 f^2) w / int f^2 w.
 
-    The numerator's derivative term is the flux quadrature
-    sum_cells w_mid (df/dx)^2 dx, which makes F identical to the
-    quotient of the assembled stiffness and mass forms: every
-    boundary-compatible trial field then satisfies F >= lambda_min up
-    to solver tolerance, not just up to discretization error.
+    The numerator is difference_form, the same formula the assembled
+    operator's quadform evaluates, so F is exactly the quotient of the
+    stiffness and mass forms: every boundary-compatible trial field
+    then satisfies F >= lambda_min up to solver tolerance, not just up
+    to discretization error.
     """
     f = field.values
     dx = field.grid.dx
@@ -164,8 +180,8 @@ def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     else:
         diffs = f[1:] - f[:-1]
     fi = field.interior
-    num = float(np.sum(geom.w_mid * diffs * diffs) / dx)
-    num += float(np.sum(geom.w_interior * geom.B2 * fi * fi) * dx)
+    num = difference_form(diffs, geom.w_mid / dx, fi,
+                          dx * geom.w_interior * geom.B2)
     den = float(np.sum(geom.w_interior * fi * fi) * dx)
     if den == 0.0:
         raise ValueError("zero field")

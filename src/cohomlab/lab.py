@@ -161,12 +161,13 @@ def check_bound(profile: WarpProfile, N: int = 2048,
         tol_disc = max(DISC_FLOOR, abs(fine.lam - coarse.lam))
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
-    ricci = ricci_profile(profile, grid)
-    scal_op = assemble(OperatorKind.SCALAR_LAPLACIAN, profile, geom, grid)
-    mu1 = first_nonzero_scalar_eigenvalue(scal_op, tol=tol).lam
+    # keep the scalar, not the profile's two N-sized Ricci arrays
+    kappa2 = ricci_profile(profile, grid).kappa2
+    mu1 = first_nonzero_scalar_eigenvalue(
+        assemble(OperatorKind.SCALAR_LAPLACIAN, profile, geom, grid),
+        tol=tol).lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
-    kappa2 = ricci.kappa2
     gap = fine.lam - kappa2
     bound_holds = gap >= -tol_disc
 

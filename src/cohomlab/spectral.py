@@ -27,13 +27,22 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .fields import InvariantField, InvariantFunction
+from .fields import InvariantField, InvariantFunction, difference_form
 from .geometry import OrbitGeometry
 from .warp import MIN_GRID, RadialGrid, Topology, WarpProfile
 
-# relative residual target; 1e-8 sits an order of magnitude above the
-# roundoff floor of the residual evaluation on the tightest grids
-DEFAULT_TOL = 1e-8
+# relative change of the eigenvalue between successive steps at which
+# iteration may stop (the `tol` argument)
+DEFAULT_TOL = 1e-12
+# normwise backward error ||K x - lam W x|| / ((||K|| + |lam| ||W||) ||x||)
+# at which an iterate counts as an exact eigenpair of a nearby problem
+BACKWARD_TOL = 1e-15
+# shift sigma = -SHIFT * max(1, |lam_0|).  K - sigma W must stay
+# numerically definite.  On the Neumann problem the constant mode
+# gives it an eigenvalue of about |sigma| w dx against ||K|| ~ 4 w / dx,
+# and the ratio |sigma| dx^2 / 4 must stay well above machine epsilon:
+# a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
+SHIFT = 1e-2
 MAX_ITER = 200
 
 
@@ -56,40 +65,87 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Generalized symmetric eigenproblem K f = lambda W f.
+    """Generalized symmetric eigenproblem K f = lambda W f in flux form.
 
-    diag/offdiag hold the (cyclic) tridiagonal stiffness K, weight the
-    diagonal mass W = w_i dx (positive at every retained node), corner
-    the single wrap-around stiffness entry (periodic only, else 0).
+    K f = D^T (cond * D f) + potential * f, with D f the cell
+    differences of f (sphere-like: against zero pole values; periodic:
+    cyclic).  cond holds the per-cell conductances w_mid/dx, with the
+    two pole cells set to zero for Neumann so that no flux crosses a
+    pole; potential is dx w |B|^2 at the retained nodes (None for the
+    scalar Laplacian); weight is the diagonal mass W = w dx, positive
+    at every retained node.  The (cyclic) tridiagonal entries diag,
+    offdiag and corner are derived from cond and potential.
     """
 
     kind: OperatorKind
-    diag: np.ndarray
-    offdiag: np.ndarray
+    cond: np.ndarray
+    potential: Optional[np.ndarray]
     weight: np.ndarray
     boundary: BoundaryCondition
     grid: RadialGrid
-    corner: float = 0.0
 
     @property
     def size(self) -> int:
-        return self.diag.size
+        return self.weight.size
+
+    @property
+    def _periodic(self) -> bool:
+        return self.boundary is BoundaryCondition.PERIODIC
+
+    def _node_cond(self) -> np.ndarray:
+        """Conductance into each retained node: c_left + c_right."""
+        c = self.cond
+        return np.roll(c, 1) + c if self._periodic else c[:-1] + c[1:]
+
+    @property
+    def diag(self) -> np.ndarray:
+        d = self._node_cond()
+        return d if self.potential is None else d + self.potential
+
+    @property
+    def offdiag(self) -> np.ndarray:
+        return -(self.cond[:-1] if self._periodic else self.cond[1:-1])
+
+    @property
+    def corner(self) -> float:
+        """The wrap-around stiffness entry (periodic only, else 0)."""
+        return float(-self.cond[-1]) if self._periodic else 0.0
+
+    def norm_bound(self) -> float:
+        """Largest row sum of |K|, 2 (c_left + c_right) + potential,
+        an upper bound on ||K||_2 that is tight for these stencils."""
+        row = 2.0 * self._node_cond()
+        if self.potential is not None:
+            row += self.potential
+        return float(np.max(row))
+
+    def cell_diffs(self, x: np.ndarray) -> np.ndarray:
+        if self._periodic:
+            return np.roll(x, -1) - x
+        d = np.empty(x.size + 1)
+        d[0] = x[0]
+        np.subtract(x[1:], x[:-1], out=d[1:-1])
+        d[-1] = -x[-1]
+        return d
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.offdiag * x[1:]
-        y[1:] += self.offdiag * x[:-1]
-        if self.corner != 0.0:
-            y[0] += self.corner * x[-1]
-            y[-1] += self.corner * x[0]
+        flux = self.cond * self.cell_diffs(x)
+        y = np.roll(flux, 1) - flux if self._periodic else flux[:-1] - flux[1:]
+        if self.potential is not None:
+            y += self.potential * x
         return y
 
     def quadform(self, x: np.ndarray) -> float:
-        return float(x @ self.matvec(x))
+        """x^T K x in difference form (fields.difference_form)."""
+        return difference_form(self.cell_diffs(x), self.cond, x,
+                               self.potential)
 
 
 @dataclass(frozen=True)
 class SpectralResult:
+    """lam is the difference-form Rayleigh quotient of the eigenvector;
+    residual its normwise backward error (see _inverse_iterate)."""
+
     lam: float
     eigenfunction: Union[InvariantField, InvariantFunction]
     rayleigh: float
@@ -97,7 +153,6 @@ class SpectralResult:
     residual: float
     grid_N: int
     extrapolated: Optional[float] = None
-    shift_perturbed: bool = False
 
 
 def assemble(kind: OperatorKind, profile: WarpProfile, geom: OrbitGeometry,
@@ -106,39 +161,28 @@ def assemble(kind: OperatorKind, profile: WarpProfile, geom: OrbitGeometry,
 
     Sphere-like grids retain the interior nodes 1..N-1 (the poles carry
     zero weight and either a Dirichlet value or no flux); periodic
-    grids retain all N distinct nodes with a cyclic corner entry.
+    grids retain all N distinct nodes and close the cells cyclically.
     """
     dx = grid.dx
-    wm = geom.w_mid
+    cond = geom.w_mid / dx
+    w = geom.w_interior
+    potential = dx * w * geom.B2 if kind is OperatorKind.ROUGH_VECTOR else None
     if grid.topology is Topology.SPHERE_LIKE:
-        if kind is OperatorKind.ROUGH_VECTOR and grid.N < MIN_GRID:
-            raise ValueError(f"vector problem needs N >= {MIN_GRID}")
-        w_int = geom.w_interior
-        diag = (wm[:-1] + wm[1:]) / dx
-        off = -wm[1:-1] / dx
         if kind is OperatorKind.ROUGH_VECTOR:
-            diag = diag + dx * w_int * geom.B2
+            if grid.N < MIN_GRID:
+                raise ValueError(f"vector problem needs N >= {MIN_GRID}")
             boundary = BoundaryCondition.DIRICHLET
         else:
-            # no flux through the poles: drop the two boundary cells
-            diag = diag.copy()
-            diag[0] -= wm[0] / dx
-            diag[-1] -= wm[-1] / dx
+            # no flux through the poles: the two boundary cells conduct 0
+            cond[0] = cond[-1] = 0.0
             boundary = BoundaryCondition.NEUMANN
-        weight = w_int * dx
-        corner = 0.0
     else:
-        diag = (np.roll(wm, 1) + wm) / dx
-        if kind is OperatorKind.ROUGH_VECTOR:
-            diag = diag + dx * geom.w * geom.B2
-        off = -wm[:-1] / dx
-        corner = float(-wm[-1] / dx)
-        weight = geom.w * dx
         boundary = BoundaryCondition.PERIODIC
+    weight = w * dx
     if not np.all(weight > 0):
         raise ValueError("mass entries must be positive at retained nodes")
-    return DiscreteOperator(kind=kind, diag=diag, offdiag=off, weight=weight,
-                            boundary=boundary, grid=grid, corner=corner)
+    return DiscreteOperator(kind=kind, cond=cond, potential=potential,
+                            weight=weight, boundary=boundary, grid=grid)
 
 
 # --- banded solves -------------------------------------------------------
@@ -150,112 +194,137 @@ def _factor(op: DiscreteOperator, sigma: float):
     c = corner < 0, so T' = K_c - c u u^T stays positive definite and a
     single Sherman-Morrison correction recovers the cyclic solve.
     """
-    d = op.diag - sigma * op.weight
-    if op.boundary is BoundaryCondition.PERIODIC:
-        d = d.copy()
-        d[0] -= op.corner
-        d[-1] -= op.corner
-    ab = np.zeros((2, op.size))
+    # Fortran order lets LAPACK factor ab in place
+    ab = np.empty((2, op.size), order="F")
+    ab[0, 0] = 0.0
     ab[0, 1:] = op.offdiag
-    ab[1, :] = d
-    cb = cholesky_banded(ab)
+    np.multiply(op.weight, -sigma, out=ab[1])
+    ab[1] += op.diag
+    corner = op.corner
+    if op.boundary is BoundaryCondition.PERIODIC:
+        ab[1, 0] -= corner
+        ab[1, -1] -= corner
+    cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+
+    def chol_solve(b):
+        return cho_solve_banded((cb, False), b, check_finite=False)
 
     if op.boundary is not BoundaryCondition.PERIODIC:
-        return lambda b: cho_solve_banded((cb, False), b)
+        return chol_solve
 
     u = np.zeros(op.size)
-    u[0] = 1.0
-    u[-1] = 1.0
-    z = cho_solve_banded((cb, False), u)
-    denom = 1.0 + op.corner * float(u @ z)
+    u[0] = u[-1] = 1.0
+    z = chol_solve(u)
+    scale = corner / (1.0 + corner * (z[0] + z[-1]))
 
     def solve(b):
-        y = cho_solve_banded((cb, False), b)
-        return y - (op.corner * float(u @ y) / denom) * z
+        y = chol_solve(b)
+        y -= (scale * (y[0] + y[-1])) * z
+        return y
 
     return solve
 
 
-def _default_seed(op: DiscreteOperator) -> np.ndarray:
-    if (op.kind is OperatorKind.ROUGH_VECTOR
-            and op.boundary is BoundaryCondition.DIRICHLET):
-        r = op.grid.nodes[1:-1]
-        return np.sin(math.pi * r / op.grid.L)
+def _seed(op: DiscreteOperator, deflate_constants: bool) -> np.ndarray:
+    """Deterministic start: sin(pi r / L) for the Dirichlet vector
+    problem, the lowest cosine for the first nonzero scalar mode (one
+    half-wave on a sphere-like grid, one full wave on a circle) and the
+    constant vector otherwise."""
+    grid = op.grid
+    r = grid.interior
+    if deflate_constants:
+        period = 1.0 if grid.topology is Topology.SPHERE_LIKE else 2.0
+        return np.cos(period * math.pi * r / grid.L)
+    if op.boundary is BoundaryCondition.DIRICHLET:
+        return np.sin(math.pi * r / grid.L)
     return np.ones(op.size)
 
 
-def _b_normalize(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return x / math.sqrt(float(x @ (W * x)))
-
-
-def _fix_sign(x: np.ndarray) -> np.ndarray:
-    nz = np.where(np.abs(x) > 1e-12 * float(np.max(np.abs(x))))[0]
+def _fix_sign(x: np.ndarray) -> None:
+    """Flip x in place so that its first non-negligible entry is > 0."""
+    nz = np.flatnonzero(np.abs(x) > 1e-12 * float(np.max(np.abs(x))))
     if nz.size and x[nz[0]] < 0:
-        return -x
-    return x
+        np.negative(x, out=x)
 
 
 def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
-                     seed: np.ndarray, deflate: Optional[np.ndarray]):
-    """Shifted inverse iteration on K f = lambda W f.
+                     deflate_constants: bool):
+    """Shifted inverse iteration on K f = lambda W f from _seed(op).
 
-    deflate, when given, is a direction removed W-orthogonally from
-    every iterate (used to step past the constant kernel of the scalar
-    problem).  Converged when ||K x - lambda W x|| <= tol ||W x||.
+    One step solves (K - sigma W) y = W x and takes lambda as the
+    difference-form quotient of y.  Iteration stops once lambda moved
+    by at most tol |lambda| in the step and the normwise backward error
+    (Rigal-Gaches) eta = ||K y - lambda W y|| / ((||K|| + |lambda| ||W||)
+    ||y||) is at most BACKWARD_TOL.  Since K y = W x + sigma W y, that
+    residual costs no matvec; the returned residual is eta recomputed
+    with an explicit K x at the accepted iterate.
+
+    deflate_constants removes the constant mode W-orthogonally from
+    every iterate (to step past the kernel of the scalar problem).
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     W = op.weight
+    scale_K, scale_W = op.norm_bound(), float(np.max(W))
+    mass = float(np.sum(W))
 
     def project(v):
-        if deflate is None:
-            return v
-        return v - (float(deflate @ (W * v))
-                    / float(deflate @ (W * deflate))) * deflate
+        if deflate_constants:
+            v -= float(W @ v) / mass
+        return v
 
-    x = project(np.asarray(seed, float))
-    norm = float(x @ (W * x))
+    def backward_error(r, lam, v):
+        return math.sqrt(float(r @ r) / float(v @ v)) \
+            / (scale_K + abs(lam) * scale_W)
+
+    # only y (the iterate, W-normalized after each step), Wy and, within
+    # a step, W x stay alive: at N = 2^20 each is 8 MB
+    y = project(_seed(op, deflate_constants))
+    Wy = W * y
+    norm = float(y @ Wy)
     if norm <= 0:
         raise ValueError("seed vector vanishes after deflation")
-    x = x / math.sqrt(norm)
+    y /= math.sqrt(norm)
+    Wy /= math.sqrt(norm)
+    lam = op.quadform(y)
+    if lam == 0.0:
+        # every flux and potential term vanishes: the seed spans the
+        # kernel (constants on a flat product) and needs no step
+        return lam, y, 0, backward_error(op.matvec(y), lam, y)
 
-    def residual_of(v):
-        lam = float(v @ op.matvec(v))
-        r = op.matvec(v) - lam * (W * v)
-        return lam, float(np.linalg.norm(r)), float(np.linalg.norm(W * v))
-
-    lam, rnorm, wnorm = residual_of(x)
-    if rnorm <= tol * wnorm:
-        return lam, x, 0, rnorm, False
-
-    sigma = -1e-8 * max(1.0, abs(lam))
-    shift_perturbed = False
-    solve = None
-    for attempt in range(4):
-        try:
-            solve = _factor(op, sigma)
-            break
-        except np.linalg.LinAlgError:
-            # singular shift: nudge it further into the definite region
-            sigma = sigma * 10.0 - 1e-12 * max(1.0, abs(lam))
-            shift_perturbed = True
-    if solve is None:
-        raise ConvergenceError("could not factor the shifted operator",
-                               last_residual=float("inf"))
-
+    sigma = -SHIFT * max(1.0, abs(lam))
+    solve = _factor(op, sigma)
+    change = math.inf
     for it in range(1, max_iter + 1):
-        x = project(solve(W * x))
-        x = _b_normalize(x, W)
-        lam, rnorm, wnorm = residual_of(x)
-        if rnorm <= tol * wnorm:
-            return lam, x, it, rnorm, shift_perturbed
+        Wx = Wy
+        y = project(solve(Wx))
+        Wy = W * y
+        yWy = float(y @ Wy)
+        lam_prev, lam = lam, op.quadform(y) / yWy
+        change = abs(lam - lam_prev)
+        eta = math.inf
+        if change <= tol * abs(lam):
+            # K y - lam W y = W x + (sigma - lam) W y, in Wx's buffer
+            Wx += (sigma - lam) * Wy
+            eta = backward_error(Wx, lam, y)
+        del Wx  # spent; freed before the explicit check below
+        s = 1.0 / math.sqrt(yWy)
+        y *= s
+        Wy *= s
+        if eta <= BACKWARD_TOL:
+            return lam, y, it, backward_error(op.matvec(y) - lam * Wy,
+                                              lam, y)
+    eta = backward_error(op.matvec(y) - lam * Wy, lam, y)
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(residual {rnorm:.3e}, target {tol * wnorm:.3e})",
-        last_residual=rnorm)
+        f"no convergence after {max_iter} iterations (backward error "
+        f"{eta:.3e}, target {BACKWARD_TOL:g}; last eigenvalue change "
+        f"{change:.3e}, target {tol * abs(lam):.3e})",
+        last_residual=eta)
 
 
 def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
-             residual: float, shift_perturbed: bool) -> SpectralResult:
-    x = _fix_sign(_b_normalize(x, op.weight))
+             residual: float) -> SpectralResult:
+    _fix_sign(x)
     rayleigh = op.quadform(x) / float(x @ (op.weight * x))
     grid = op.grid
     if grid.topology is Topology.SPHERE_LIKE:
@@ -277,7 +346,7 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
             fn = InvariantFunction(values=x, grid=grid)
     return SpectralResult(lam=lam, eigenfunction=fn, rayleigh=rayleigh,
                           iterations=iterations, residual=residual,
-                          grid_N=grid.N, shift_perturbed=shift_perturbed)
+                          grid_N=grid.N)
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol: float = DEFAULT_TOL,
@@ -287,11 +356,8 @@ def smallest_eigenpair(op: DiscreteOperator, tol: float = DEFAULT_TOL,
     Deterministic: the seed is sin(pi r / L) for the Dirichlet vector
     problem and the constant vector otherwise.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lam, x, it, res, pert = _inverse_iterate(
-        op, tol, max_iter, _default_seed(op), deflate=None)
-    return _package(op, lam, x, it, res, pert)
+    return _package(op, *_inverse_iterate(
+        op, tol, max_iter, deflate_constants=False))
 
 
 def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
@@ -305,14 +371,8 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
     """
     if op.kind is not OperatorKind.SCALAR_LAPLACIAN:
         raise ValueError("first nonzero eigenvalue is a scalar-operator query")
-    r = (op.grid.nodes[1:-1] if op.grid.topology is Topology.SPHERE_LIKE
-         else op.grid.nodes)
-    period = 1.0 if op.grid.topology is Topology.SPHERE_LIKE else 2.0
-    seed = np.cos(period * math.pi * r / op.grid.L)
-    ones = np.ones(op.size)
-    lam, x, it, res, pert = _inverse_iterate(
-        op, tol, max_iter, seed, deflate=ones)
-    return _package(op, lam, x, it, res, pert)
+    return _package(op, *_inverse_iterate(
+        op, tol, max_iter, deflate_constants=True))
 
 
 def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,

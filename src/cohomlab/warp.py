@@ -354,9 +354,28 @@ def ensure_usable(profile: WarpProfile) -> None:
 #  "grid": {"N": int}}
 
 def _cfg_get(cfg: dict, key: str, path: str):
+    if not isinstance(cfg, dict):
+        where = f"config path '{path[:-1]}'" if path else "config"
+        raise ValueError(f"{where}: expected an object, got {cfg!r}")
     if key not in cfg:
         raise ValueError(f"config path '{path}{key}': missing")
     return cfg[key]
+
+
+def _cfg_real(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(
+            f"config path '{path}': expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _cfg_reals(cfg: dict, key: str, path: str) -> list:
+    values = _cfg_get(cfg, key, path)
+    if not isinstance(values, list):
+        raise ValueError(f"config path '{path}{key}': expected a list of "
+                         f"numbers, got {values!r}")
+    return [_cfg_real(v, f"{path}{key}[{i}]") for i, v in enumerate(values)]
 
 
 def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
@@ -374,9 +393,14 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
     ptype = _cfg_get(preset, "type", "preset.")
 
     if ptype == "samples":
+        for key in preset:
+            if key not in ("type", "r", "phi"):
+                raise ValueError(
+                    f"config path 'preset.{key}': preset 'samples' has no "
+                    f"parameter {key!r} (it takes r, phi)")
         prof = profile_from_samples(
-            _cfg_get(preset, "r", "preset."),
-            _cfg_get(preset, "phi", "preset."),
+            _cfg_reals(preset, "r", "preset."),
+            _cfg_reals(preset, "phi", "preset."),
             n=n, topology=topology)
     else:
         entry = PRESETS.get(str(ptype))
@@ -389,8 +413,8 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
                 f"{entry.topology.value!r}, config says {topo_name!r}")
         entry.check((k for k in preset if k != "type"), path="preset.")
         prof = entry.builder(n=n, **{
-            p: float(_cfg_get(preset, p, "preset.") if p in entry.required
-                     else preset.get(p, default))
+            p: _cfg_real(_cfg_get(preset, p, "preset.") if p in entry.required
+                         else preset.get(p, default), f"preset.{p}")
             for p, default in entry.defaults.items()})
 
     grid_cfg = _cfg_get(cfg, "grid", "")

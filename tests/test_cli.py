@@ -151,6 +151,23 @@ def test_config_error_names_path(tmp_path, capsys):
     assert "preset.k" in payload["error"]
 
 
+@pytest.mark.parametrize("preset", [
+    {"type": "round", "k": None},
+    {"type": "round", "k": "x"},
+    {"type": "samples", "r": [0.0, 1.0, 2.0, 3.0],
+     "phi": [0.0, 1.0, 1.0, 0.0], "k": 3.0},
+], ids=["null", "string", "samples-stray-key"])
+def test_bad_preset_value_names_path(tmp_path, capsys, preset):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "topology": "sphere_like",
+                                "preset": preset, "grid": {"N": 64}}))
+    code = main(["verify", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1  # one-line error JSON, no traceback
+    assert "preset.k" in json.loads(out)["error"]
+
+
 def test_outputs_are_byte_identical(round_cfg, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--config", round_cfg, "--out", str(a)])

@@ -77,6 +77,74 @@ def test_residual_certificate(bump01_n2):
     x = res.eigenfunction.interior
     r = op.matvec(x) - res.lam * op.weight * x
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(op.weight * x)
+    # the reported residual is the normwise backward error, here
+    # recomputed from the tridiagonal entries with the exact 2-norm
+    K = (np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1))
+    r = K @ x - res.lam * op.weight * x
+    eta = np.linalg.norm(r) / ((np.linalg.norm(K, 2) + abs(res.lam)
+                                * np.max(op.weight)) * np.linalg.norm(x))
+    assert eta <= 1e-15
+    assert res.residual == pytest.approx(eta, rel=0.5, abs=1e-17)
+
+
+_FINE_PROFILES = {
+    "round": dict(family="Round", n=3, k=1.0),
+    "bump": dict(family="Bump", n=3, eps=0.08),
+    "periodic": dict(family="PeriodicProduct", n=3, c=1.0, a=0.3),
+}
+
+
+@pytest.mark.parametrize("N", [2 ** 15, 2 ** 17])
+@pytest.mark.parametrize("name", sorted(_FINE_PROFILES))
+def test_solvers_converge_on_fine_grids(name, N):
+    spec = dict(_FINE_PROFILES[name])
+    prof = make_preset(spec.pop("family"), **spec)
+    grid = grid_for(prof, N)
+    geom = orbit_geometry(prof, grid)
+    vec = smallest_eigenpair(
+        assemble(OperatorKind.ROUGH_VECTOR, prof, geom, grid))
+    scal = first_nonzero_scalar_eigenvalue(
+        assemble(OperatorKind.SCALAR_LAPLACIAN, prof, geom, grid))
+    for res in (vec, scal):
+        assert res.residual <= 1e-14
+        assert 0 < res.iterations < 50
+    if name == "round":
+        assert vec.lam == pytest.approx(1.0, rel=1e-9)
+        assert scal.lam == pytest.approx(3.0, rel=1e-9)
+
+
+def test_round_eigenvalues_at_two_to_the_twenty(round_n3):
+    N = 2 ** 20
+    vec = solve_smallest(round_n3, OperatorKind.ROUGH_VECTOR, N)
+    scal = solve_smallest(round_n3, OperatorKind.SCALAR_LAPLACIAN, N)
+    # second-order discretization error alone: 2.5e-13 and 7.5e-13
+    assert abs(vec.lam - 1.0) <= 1e-12
+    assert abs(scal.lam - 3.0) / 3.0 <= 3e-12
+
+
+def test_convergence_order_on_fine_grids():
+    bump = make_preset("Bump", n=3, eps=0.08)
+    study = convergence_study(bump, OperatorKind.ROUGH_VECTOR,
+                              [2 ** 15, 2 ** 16, 2 ** 17])
+    assert study.orders[0] == pytest.approx(2.0, abs=0.2)
+
+
+def test_quadform_is_energy_functional(bump01_n2, periodic_n3):
+    rng = np.random.default_rng(7)
+    for prof in (bump01_n2, periodic_n3):
+        op, grid, geom = _op(prof, OperatorKind.ROUGH_VECTOR, 1024)
+        x = rng.standard_normal(op.size)
+        if grid.topology is Topology.SPHERE_LIKE:
+            field = InvariantField(values=np.concatenate(([0.0], x, [0.0])),
+                                   grid=grid)
+        else:
+            field = InvariantField(values=x, grid=grid)
+        quotient = op.quadform(x) / float(x @ (op.weight * x))
+        assert quotient == pytest.approx(energy_functional(field, geom),
+                                         rel=1e-14)
+        # and the difference form is the stiffness x . K x
+        assert op.quadform(x) == pytest.approx(float(x @ op.matvec(x)),
+                                               rel=1e-12)
 
 
 def test_eigenvalue_normalization(round_n2):
@@ -195,5 +263,5 @@ def test_curvature_scaling_covariance(c):
 def test_solver_converges_across_bump_family(eps):
     res = solve_smallest(make_preset("Bump", n=3, eps=eps),
                          OperatorKind.ROUGH_VECTOR, 256)
-    assert res.residual <= 1e-8 * 10  # certificate recorded
+    assert res.residual <= 1e-14  # backward-error certificate recorded
     assert res.lam > 0
