@@ -29,7 +29,8 @@ from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (DEFAULT_TOL, ConvergenceError, OperatorKind,
                        convergence_study, solve_smallest)
-from .warp import Topology, grid_for, profile_from_config
+from .warp import (_cfg_bool, _cfg_int, _cfg_list, _cfg_real,
+                   profile_from_config)
 
 
 def canonical_config_text(cfg) -> str:
@@ -93,13 +94,22 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(
+            f"config path '{key}': expected an object, got {section!r}")
+    return section
+
+
 def _solver_opts(cfg: dict, args) -> tuple:
-    solver = cfg.get("solver", {})
-    tol = args.tol if getattr(args, "tol", None) is not None \
-        else float(solver.get("tol", DEFAULT_TOL))
-    richardson = bool(getattr(args, "richardson", False)
-                      or solver.get("richardson", False))
-    return tol, richardson
+    solver = _section(cfg, "solver")
+    tol = _cfg_real(solver.get("tol", DEFAULT_TOL), "solver.tol")
+    richardson = _cfg_bool(solver.get("richardson", False),
+                           "solver.richardson")
+    if getattr(args, "tol", None) is not None:
+        tol = args.tol
+    return tol, richardson or getattr(args, "richardson", False)
 
 
 def _cmd_geometry(args) -> int:
@@ -117,8 +127,7 @@ def _cmd_geometry(args) -> int:
         "argmin_r": ricci.argmin_r,
     }
     if args.csv:
-        r = grid.interior if grid.topology is Topology.SPHERE_LIKE \
-            else grid.nodes
+        r = grid.interior
         w = geom.w_interior
         rows = zip(r, profile.phi(r), geom.H, geom.B2, w,
                    ricci.ric_radial, ricci.ric_tangential)
@@ -179,11 +188,10 @@ def _cmd_verify(args) -> int:
 
 def _sweep_values(section: dict) -> list:
     if "values" in section:
-        return [float(v) for v in section["values"]]
+        return _cfg_list(section["values"], "sweep.values")
     try:
-        start = float(section["start"])
-        stop = float(section["stop"])
-        step = float(section["step"])
+        start, stop, step = (_cfg_real(section[k], f"sweep.{k}")
+                             for k in ("start", "stop", "step"))
     except KeyError as exc:
         raise ValueError(
             f"config path 'sweep.{exc.args[0]}': missing (need values "
@@ -196,15 +204,16 @@ def _sweep_values(section: dict) -> list:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    section = cfg.get("sweep")
-    if not isinstance(section, dict):
-        raise ValueError("config path 'sweep': missing section")
     profile, grid = profile_from_config(cfg)
+    section = _section(cfg, "sweep")
     values = _sweep_values(section)
+    param = section.get("param")
+    if not isinstance(param, (str, type(None))):
+        raise ValueError(f"config path 'sweep.param': expected a parameter "
+                         f"name, got {param!r}")
     tol, _ = _solver_opts(cfg, args)
     rows = run_sweep(profile.preset, values, n=profile.n, N=grid.N, tol=tol,
-                     param=section.get("param"),
-                     base_params=dict(profile.params))
+                     param=param, base_params=dict(profile.params))
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
              for r in rows]
@@ -221,10 +230,10 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     profile, _ = profile_from_config(cfg)
     tol, _ = _solver_opts(cfg, args)
+    grids = _cfg_list(_section(cfg, "converge").get("grids", []),
+                      "converge.grids", _cfg_int)
     if args.grids:
         grids = [int(g) for g in args.grids.split(",")]
-    else:
-        grids = [int(g) for g in cfg.get("converge", {}).get("grids", [])]
     if not grids:
         raise ValueError("config path 'converge.grids': missing "
                          "(or pass --grids)")

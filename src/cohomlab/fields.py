@@ -55,9 +55,7 @@ class InvariantField:
 
     @property
     def interior(self) -> np.ndarray:
-        if self.grid.topology is Topology.PERIODIC:
-            return self.values
-        return self.values[1:-1]
+        return self.grid.retained(self.values)
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,7 @@ class InvariantFunction:
 
     @property
     def interior(self) -> np.ndarray:
-        if self.grid.topology is Topology.PERIODIC:
-            return self.values
-        return self.values[1:-1]
+        return self.grid.retained(self.values)
 
 
 def derivative(values: np.ndarray, grid: RadialGrid, parity: str) -> np.ndarray:
@@ -148,6 +144,19 @@ def weighted_integral(values_interior: np.ndarray, geom: OrbitGeometry) -> float
     return float(np.sum(values_interior * geom.w_interior) * geom.grid.dx)
 
 
+def cell_diffs(x: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Differences of x across the N cells of grid, x given at the
+    retained nodes (sphere-like: against zero pole values; periodic:
+    cyclic)."""
+    if grid.topology is Topology.PERIODIC:
+        return np.roll(x, -1) - x
+    d = np.empty(x.size + 1)
+    d[0] = x[0]
+    np.subtract(x[1:], x[:-1], out=d[1:-1])
+    d[-1] = -x[-1]
+    return d
+
+
 def difference_form(diffs: np.ndarray, cond: np.ndarray, values: np.ndarray,
                     potential=None) -> float:
     """Stiffness form sum_cells cond (df)^2 + sum_nodes potential f^2.
@@ -173,14 +182,9 @@ def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     then satisfies F >= lambda_min up to solver tolerance, not just up
     to discretization error.
     """
-    f = field.values
     dx = field.grid.dx
-    if field.grid.topology is Topology.PERIODIC:
-        diffs = np.roll(f, -1) - f
-    else:
-        diffs = f[1:] - f[:-1]
     fi = field.interior
-    num = difference_form(diffs, geom.w_mid / dx, fi,
+    num = difference_form(cell_diffs(fi, field.grid), geom.w_mid / dx, fi,
                           dx * geom.w_interior * geom.B2)
     den = float(np.sum(geom.w_interior * fi * fi) * dx)
     if den == 0.0:
@@ -188,28 +192,37 @@ def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     return num / den
 
 
+def radial_calculus(fn: InvariantFunction | InvariantField,
+                    geom: OrbitGeometry) -> tuple:
+    """(f, f', Delta h, |Hess h|^2) at the retained nodes, with f = h'.
+
+    fn is the potential h (f its even derivative, f' its even second
+    difference: direct, not chained, for a small truncation constant)
+    or the gradient profile f (f' its odd derivative).
+    """
+    grid = fn.grid
+    if isinstance(fn, InvariantFunction):
+        f = grid.retained(derivative(fn.values, grid, "even"))
+        fp = grid.retained(second_derivative(fn.values, grid, "even"))
+    else:
+        f = fn.interior
+        fp = grid.retained(derivative(fn.values, grid, "odd"))
+    n = geom.n
+    return f, fp, fp - (n - 1) * f * geom.H, fp * fp + f * f * geom.B2
+
+
 def laplacian_of_potential(h: InvariantFunction,
                            geom: OrbitGeometry) -> np.ndarray:
     """Delta h = N(f) - (n-1) f H at interior nodes, where f = h'.
 
-    N(f) is taken as the direct second difference of h rather than a
-    chained first difference, keeping the truncation constant small.
     Agrees with the divergence form (w h')'/w to O(dx^2).
     """
-    f = derivative(h.values, h.grid, "even")
-    fp = second_derivative(h.values, h.grid, "even")
-    if h.grid.topology is Topology.PERIODIC:
-        return fp - (geom.n - 1) * f * geom.H
-    return fp[1:-1] - (geom.n - 1) * f[1:-1] * geom.H
+    return radial_calculus(h, geom)[2]
 
 
 def hessian_norm_sq(field: InvariantField, geom: OrbitGeometry) -> np.ndarray:
     """|Hess h|^2 = f'^2 + f^2 |B|^2 nodewise for f the gradient profile."""
-    fp = derivative(field.values, field.grid, "odd")
-    if field.grid.topology is Topology.PERIODIC:
-        return fp * fp + field.values ** 2 * geom.B2
-    fi = field.interior
-    return fp[1:-1] ** 2 + fi * fi * geom.B2
+    return radial_calculus(field, geom)[3]
 
 
 @dataclass(frozen=True)
@@ -228,14 +241,7 @@ def cauchy_schwarz_check(h: InvariantFunction,
     Nodes achieving (near) equality are flagged: there the Hessian is
     proportional to the metric.
     """
-    f = derivative(h.values, h.grid, "even")
-    fp = second_derivative(h.values, h.grid, "even")
-    if h.grid.topology is Topology.PERIODIC:
-        fi, fpi = f, fp
-    else:
-        fi, fpi = f[1:-1], fp[1:-1]
-    hess2 = fpi * fpi + fi * fi * geom.B2
-    lap = fpi - (geom.n - 1) * fi * geom.H
+    _, _, lap, hess2 = radial_calculus(h, geom)
     expr = geom.n * hess2 - lap * lap
     i = int(np.argmin(expr))
     scale = max(1.0, float(np.max(np.abs(expr))))
@@ -276,16 +282,10 @@ def bochner_residual(h: InvariantFunction, geom: OrbitGeometry,
     grad h = f N is radial, so Ric(grad h, grad h) = ric_radial * f^2.
     Normalized by max(1, int (Delta h)^2 w).
     """
-    f = derivative(h.values, h.grid, "even")
-    fp = second_derivative(h.values, h.grid, "even")
-    if h.grid.topology is Topology.PERIODIC:
-        fi, fpi = f, fp
-    else:
-        fi, fpi = f[1:-1], fp[1:-1]
-    lap = fpi - (geom.n - 1) * fi * geom.H
+    f, _, lap, hess2 = radial_calculus(h, geom)
     lhs = weighted_integral(lap * lap, geom)
-    ric_term = weighted_integral(ricci.ric_radial * fi * fi, geom)
-    hess_term = weighted_integral(fpi * fpi + geom.B2 * fi * fi, geom)
+    ric_term = weighted_integral(ricci.ric_radial * f * f, geom)
+    hess_term = weighted_integral(hess2, geom)
     return abs(lhs - ric_term - hess_term) / max(1.0, lhs)
 
 

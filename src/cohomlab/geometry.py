@@ -37,9 +37,7 @@ class OrbitGeometry:
 
     @property
     def w_interior(self) -> np.ndarray:
-        if self.grid.topology is Topology.PERIODIC:
-            return self.w
-        return self.w[1:-1]
+        return self.grid.retained(self.w)
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,15 @@ class RicciProfile:
     n: int
 
 
+def _require_finite(profile: WarpProfile, **arrays) -> None:
+    for name, arr in arrays.items():
+        bad = np.where(~np.isfinite(arr))[0]
+        if bad.size:
+            raise ValueError(
+                f"{name} is not finite at node {int(bad[0])} "
+                f"(profile {profile.preset_tag})")
+
+
 def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     ensure_usable(profile)
     n = profile.n
@@ -77,12 +84,7 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     # half-node weights: evaluating phi at cell midpoints sidesteps the
     # coordinate singularity without special-casing the pole cells
     w_mid = np.asarray(profile.phi(grid.midpoints), float) ** (n - 1)
-    for name, arr in (("H", H), ("B2", B2), ("w", w), ("w_mid", w_mid)):
-        bad = np.where(~np.isfinite(arr))[0]
-        if bad.size:
-            raise ValueError(
-                f"{name} is not finite at node {int(bad[0])} "
-                f"(profile {profile.preset_tag})")
+    _require_finite(profile, H=H, B2=B2, w=w, w_mid=w_mid)
     return OrbitGeometry(H=H, B2=B2, w=w, w_mid=w_mid, grid=grid, n=n)
 
 
@@ -104,13 +106,8 @@ def ricci_profile(profile: WarpProfile, grid: RadialGrid) -> RicciProfile:
     d2phi = np.asarray(profile.d2phi(ri), float)
     ric_radial = -(n - 1) * d2phi / phi
     ric_tangential = -d2phi / phi + (n - 2) * (1.0 - dphi * dphi) / (phi * phi)
-    for name, arr in (("ric_radial", ric_radial),
-                      ("ric_tangential", ric_tangential)):
-        bad = np.where(~np.isfinite(arr))[0]
-        if bad.size:
-            raise ValueError(
-                f"{name} is not finite at node {int(bad[0])} "
-                f"(profile {profile.preset_tag})")
+    _require_finite(profile, ric_radial=ric_radial,
+                    ric_tangential=ric_tangential)
     stacked = np.minimum(ric_radial, ric_tangential)
     i = int(np.argmin(stacked))
     ric_min = float(stacked[i])

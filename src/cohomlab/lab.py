@@ -23,11 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import InvariantField, derivative, weighted_integral
+from .fields import (InvariantField, derivative, radial_calculus,
+                     weighted_integral)
 from .geometry import OrbitGeometry, RicciProfile, orbit_geometry, ricci_profile
 from .spectral import (DEFAULT_TOL, OperatorKind, SpectralResult, assemble,
                        first_nonzero_scalar_eigenvalue, smallest_eigenpair)
-from .warp import (RadialGrid, Topology, WarpProfile, ensure_usable, grid_for,
+from .warp import (RadialGrid, WarpProfile, ensure_usable, grid_for,
                    lookup_preset, make_preset)
 
 RIGID_FLOOR = 1e-4
@@ -117,19 +118,13 @@ class SweepRow:
 def rigidity_diagnostics(minimizer: InvariantField,
                          geom: OrbitGeometry) -> RigidityDiagnostics:
     """Equality-case residuals for a computed vector minimizer."""
-    grid = minimizer.grid
     n = geom.n
-    fi = minimizer.interior
-    fp = derivative(minimizer.values, grid, parity="odd")
-    fpi = fp if grid.topology is Topology.PERIODIC else fp[1:-1]
+    # the minimizer is the gradient profile f = h' of its potential h
+    f, fp, lap, hess2 = radial_calculus(minimizer, geom)
 
-    umb = float(np.max(fi * fi * np.abs(geom.H ** 2 - geom.B2 / (n - 1))))
-    rad = math.sqrt(weighted_integral((fpi + geom.H * fi) ** 2, geom))
+    umb = float(np.max(f * f * np.abs(geom.H ** 2 - geom.B2 / (n - 1))))
+    rad = math.sqrt(weighted_integral((fp + geom.H * f) ** 2, geom))
 
-    # the minimizer is the gradient profile f = h', so the Laplacian of
-    # its potential is f' - (n-1) f H directly
-    lap = fpi - (n - 1) * fi * geom.H
-    hess2 = fpi * fpi + fi * fi * geom.B2
     i2 = weighted_integral(lap * lap, geom)
     ih = weighted_integral(hess2, geom)
     lap_eq = abs(i2 - n * ih) / max(1.0, i2)
@@ -257,7 +252,7 @@ def obata_check(profile: WarpProfile, N: int = 4096,
         assemble(OperatorKind.ROUGH_VECTOR, profile, geom, grid), tol=tol)
     n = profile.n
     defect = abs(mu1 - n * ricci.kappa2)
-    g = derivative(vec.eigenfunction.values, grid, parity="odd")[1:-1]
+    g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
     g_res = _fv_scalar_residual(profile, grid, g, n * ricci.kappa2)
     return ObataReport(defect=defect, mu1=mu1, kappa2=ricci.kappa2,
                        g_residual=g_res, lambda_min=vec.lam, grid_N=N)

@@ -27,9 +27,10 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .fields import InvariantField, InvariantFunction, difference_form
-from .geometry import OrbitGeometry
-from .warp import MIN_GRID, RadialGrid, Topology, WarpProfile
+from .fields import (InvariantField, InvariantFunction, cell_diffs,
+                     difference_form)
+from .geometry import OrbitGeometry, orbit_geometry
+from .warp import MIN_GRID, RadialGrid, Topology, WarpProfile, grid_for
 
 # relative change of the eigenvalue between successive steps at which
 # iteration may stop (the `tol` argument)
@@ -119,17 +120,8 @@ class DiscreteOperator:
             row += self.potential
         return float(np.max(row))
 
-    def cell_diffs(self, x: np.ndarray) -> np.ndarray:
-        if self._periodic:
-            return np.roll(x, -1) - x
-        d = np.empty(x.size + 1)
-        d[0] = x[0]
-        np.subtract(x[1:], x[:-1], out=d[1:-1])
-        d[-1] = -x[-1]
-        return d
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        flux = self.cond * self.cell_diffs(x)
+        flux = self.cond * cell_diffs(x, self.grid)
         y = np.roll(flux, 1) - flux if self._periodic else flux[:-1] - flux[1:]
         if self.potential is not None:
             y += self.potential * x
@@ -137,7 +129,7 @@ class DiscreteOperator:
 
     def quadform(self, x: np.ndarray) -> float:
         """x^T K x in difference form (fields.difference_form)."""
-        return difference_form(self.cell_diffs(x), self.cond, x,
+        return difference_form(cell_diffs(x, self.grid), self.cond, x,
                                self.potential)
 
 
@@ -262,7 +254,7 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
     deflate_constants removes the constant mode W-orthogonally from
     every iterate (to step past the kernel of the scalar problem).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     W = op.weight
     scale_K, scale_W = op.norm_bound(), float(np.max(W))
@@ -327,26 +319,20 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
     _fix_sign(x)
     rayleigh = op.quadform(x) / float(x @ (op.weight * x))
     grid = op.grid
+    vector = op.kind is OperatorKind.ROUGH_VECTOR
+    values = x
     if grid.topology is Topology.SPHERE_LIKE:
-        if op.kind is OperatorKind.ROUGH_VECTOR:
-            full = np.zeros(grid.N + 1)
-            full[1:-1] = x
-            fn = InvariantField(values=full, grid=grid)
-        else:
-            full = np.empty(grid.N + 1)
-            full[1:-1] = x
-            # parabolic even extension h = a + b r^2 onto the poles
-            full[0] = (4.0 * x[0] - x[1]) / 3.0
-            full[-1] = (4.0 * x[-1] - x[-2]) / 3.0
-            fn = InvariantFunction(values=full, grid=grid)
-    else:
-        if op.kind is OperatorKind.ROUGH_VECTOR:
-            fn = InvariantField(values=x, grid=grid)
-        else:
-            fn = InvariantFunction(values=x, grid=grid)
-    return SpectralResult(lam=lam, eigenfunction=fn, rayleigh=rayleigh,
-                          iterations=iterations, residual=residual,
-                          grid_N=grid.N)
+        # fields vanish at the poles; functions get the parabolic even
+        # extension h = a + b r^2 onto them
+        values = np.zeros(grid.N + 1)
+        values[1:-1] = x
+        if not vector:
+            values[0] = (4.0 * x[0] - x[1]) / 3.0
+            values[-1] = (4.0 * x[-1] - x[-2]) / 3.0
+    cls = InvariantField if vector else InvariantFunction
+    return SpectralResult(lam=lam, eigenfunction=cls(values=values, grid=grid),
+                          rayleigh=rayleigh, iterations=iterations,
+                          residual=residual, grid_N=grid.N)
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol: float = DEFAULT_TOL,
@@ -384,9 +370,6 @@ def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
 
     The scalar kind reports the first nonzero eigenvalue.
     """
-    from .geometry import orbit_geometry
-    from .warp import grid_for
-
     def run(m: int) -> SpectralResult:
         grid = grid_for(profile, m)
         geom = orbit_geometry(profile, grid)

@@ -78,12 +78,17 @@ class RadialGrid:
             return np.arange(self.N) * self.dx
         return np.arange(self.N + 1) * self.dx
 
+    def retained(self, values):
+        """values at the retained nodes: every node of a periodic grid,
+        all but the two singular poles of a sphere-like one."""
+        if self.topology is Topology.PERIODIC:
+            return values
+        return values[1:-1]
+
     @property
     def interior(self) -> np.ndarray:
         """Nodes carrying per-orbit data: poles excluded when singular."""
-        if self.topology is Topology.PERIODIC:
-            return self.nodes
-        return self.nodes[1:-1]
+        return self.retained(self.nodes)
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -370,18 +375,31 @@ def _cfg_real(value, path: str) -> float:
     return float(value)
 
 
-def _cfg_reals(cfg: dict, key: str, path: str) -> list:
-    values = _cfg_get(cfg, key, path)
+def _cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ValueError(f"config path '{path}': expected integer >= "
+                         f"{minimum}, got {value!r}")
+    return value
+
+
+def _cfg_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(
+            f"config path '{path}': expected true or false, got {value!r}")
+    return value
+
+
+def _cfg_list(values, path: str, item=_cfg_real) -> list:
+    """values checked as a list, each entry by item(entry, its path)."""
     if not isinstance(values, list):
-        raise ValueError(f"config path '{path}{key}': expected a list of "
-                         f"numbers, got {values!r}")
-    return [_cfg_real(v, f"{path}{key}[{i}]") for i, v in enumerate(values)]
+        raise ValueError(
+            f"config path '{path}': expected a list, got {values!r}")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
-    n = _cfg_get(cfg, "n", "")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"config path 'n': expected integer >= 2, got {n!r}")
+    n = _cfg_int(_cfg_get(cfg, "n", ""), "n", minimum=2)
     topo_name = _cfg_get(cfg, "topology", "")
     try:
         topology = Topology(topo_name)
@@ -399,8 +417,8 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
                     f"config path 'preset.{key}': preset 'samples' has no "
                     f"parameter {key!r} (it takes r, phi)")
         prof = profile_from_samples(
-            _cfg_reals(preset, "r", "preset."),
-            _cfg_reals(preset, "phi", "preset."),
+            _cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
+            _cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
             n=n, topology=topology)
     else:
         entry = PRESETS.get(str(ptype))
@@ -418,9 +436,7 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
             for p, default in entry.defaults.items()})
 
     grid_cfg = _cfg_get(cfg, "grid", "")
-    N = _cfg_get(grid_cfg, "N", "grid.")
-    if not isinstance(N, int) or N < MIN_GRID:
-        raise ValueError(f"config path 'grid.N': expected integer >= {MIN_GRID}")
+    N = _cfg_int(_cfg_get(grid_cfg, "N", "grid."), "grid.N")
     return prof, grid_for(prof, N)
 
 

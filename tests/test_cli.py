@@ -151,21 +151,46 @@ def test_config_error_names_path(tmp_path, capsys):
     assert "preset.k" in payload["error"]
 
 
-@pytest.mark.parametrize("preset", [
-    {"type": "round", "k": None},
-    {"type": "round", "k": "x"},
-    {"type": "samples", "r": [0.0, 1.0, 2.0, 3.0],
-     "phi": [0.0, 1.0, 1.0, 0.0], "k": 3.0},
-], ids=["null", "string", "samples-stray-key"])
-def test_bad_preset_value_names_path(tmp_path, capsys, preset):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 3, "topology": "sphere_like",
-                                "preset": preset, "grid": {"N": 64}}))
-    code = main(["verify", "--config", str(path)])
+_SWEEP = {"values": [1.0]}
+
+
+@pytest.mark.parametrize("command, section, path", [
+    ("verify", {"preset": {"type": "round", "k": None}}, "preset.k"),
+    ("verify", {"preset": {"type": "round", "k": "x"}}, "preset.k"),
+    ("verify", {"preset": {"type": "samples", "r": [0.0, 1.0, 2.0, 3.0],
+                           "phi": [0.0, 1.0, 1.0, 0.0], "k": 3.0}},
+     "preset.k"),
+    ("verify", {"solver": {"tol": None}}, "solver.tol"),
+    ("verify", {"solver": [1]}, "solver"),
+    ("spectrum", {"solver": {"richardson": "false"}}, "solver.richardson"),
+    ("sweep", {"sweep": {"values": [None]}}, "sweep.values[0]"),
+    ("sweep", {"sweep": {"start": None, "stop": 1.0, "step": 0.5}},
+     "sweep.start"),
+    ("sweep", {"sweep": {"param": ["k"], **_SWEEP}}, "sweep.param"),
+    ("sweep", {"sweep": _SWEEP, "solver": {"tol": float("nan")}},
+     "solver.tol"),
+    ("converge", {"converge": {"grids": [None]}}, "converge.grids[0]"),
+    ("converge", {"converge": {"grids": "256"}}, "converge.grids"),
+    ("converge", {"converge": [256]}, "converge"),
+], ids=["null", "string", "samples-stray-key", "solver-tol-null",
+        "solver-not-object", "richardson-string", "sweep-values-null",
+        "sweep-start-null", "sweep-param-list", "sweep-tol-nan",
+        "converge-grids-null", "converge-grids-string",
+        "converge-not-object"])
+def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
+                                     path):
+    # every bad config value exits 2 with one line of error JSON naming
+    # its config path, never with a traceback
+    cfg = {"n": 3, "topology": "sphere_like",
+           "preset": {"type": "round", "k": 1.0}, "grid": {"N": 64},
+           **section}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(cfg_path)])
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1  # one-line error JSON, no traceback
-    assert "preset.k" in json.loads(out)["error"]
+    assert f"config path '{path}'" in json.loads(out)["error"]
 
 
 def test_outputs_are_byte_identical(round_cfg, tmp_path, capsys):

@@ -170,6 +170,30 @@ def test_bochner_residual_decays(round_setup):
     assert vals[0] / vals[1] == pytest.approx(4.0, abs=0.6)
 
 
+def test_radial_calculus_periodic(periodic_n3):
+    # h = cos(2 pi r / L) on the closed manifold S^1 x S^2: every node
+    # is retained and the derivative stencils wrap around the seam
+    p = periodic_n3
+    om = 2 * math.pi / p.L
+    lap_errs, bochner = [], []
+    for N in (256, 512):
+        g = grid_for(p, N)
+        geom = orbit_geometry(p, g)
+        r = g.nodes
+        h = InvariantFunction(values=np.cos(om * r), grid=g)
+        # divergence form (w h')'/w = h'' + (n-1) (phi'/phi) h'
+        exact = -om * om * np.cos(om * r) \
+            - (p.n - 1) * p.dphi(r) / p.phi(r) * om * np.sin(om * r)
+        lap_errs.append(float(np.max(np.abs(
+            laplacian_of_potential(h, geom) - exact))))
+        assert cauchy_schwarz_check(h, geom).min_value >= -g.dx ** 2
+        bochner.append(bochner_residual(h, geom, ricci_profile(p, g)))
+    assert lap_errs[1] <= 0.2 * (2 * math.pi / 512) ** 2
+    assert lap_errs[0] / lap_errs[1] == pytest.approx(4.0, rel=0.1)
+    assert bochner[1] <= 1e-5
+    assert bochner[0] / bochner[1] == pytest.approx(4.0, abs=0.6)
+
+
 def test_bochner_bound_below_energy(round_setup):
     # discrete form of the gradient lemma: the inequality holds up to
     # discretization tolerance, estimated by eigenvalue grid doubling

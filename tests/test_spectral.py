@@ -200,6 +200,10 @@ def test_solver_rejects_bad_tol(round_n2):
     op, _, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR)
     with pytest.raises(ValueError):
         smallest_eigenpair(op, tol=0.0)
+    # NaN fails every comparison: refused up front, not after MAX_ITER steps
+    with pytest.raises(ValueError):
+        solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 64,
+                       tol=float("nan"))
 
 
 def test_convergence_error_carries_residual(round_n2):
