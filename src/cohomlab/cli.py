@@ -19,17 +19,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Optional
-
-import numpy as np
 
 from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (DEFAULT_TOL, ConvergenceError, OperatorKind,
                        convergence_study, solve_smallest)
-from .warp import (_cfg_bool, _cfg_int, _cfg_list, _cfg_real,
+from .warp import (MIN_GRID, _cfg_bool, _cfg_int, _cfg_list, _cfg_real,
                    profile_from_config)
 
 
@@ -102,13 +101,20 @@ def _section(cfg: dict, key: str) -> dict:
     return section
 
 
+def _positive(tol: float, where: str) -> float:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{where}: expected a positive number, got {tol!r}")
+    return tol
+
+
 def _solver_opts(cfg: dict, args) -> tuple:
     solver = _section(cfg, "solver")
-    tol = _cfg_real(solver.get("tol", DEFAULT_TOL), "solver.tol")
+    tol = _positive(_cfg_real(solver.get("tol", DEFAULT_TOL), "solver.tol"),
+                    "config path 'solver.tol'")
     richardson = _cfg_bool(solver.get("richardson", False),
                            "solver.richardson")
     if getattr(args, "tol", None) is not None:
-        tol = args.tol
+        tol = _positive(args.tol, "option '--tol'")
     return tol, richardson or getattr(args, "richardson", False)
 
 
@@ -233,7 +239,11 @@ def _cmd_converge(args) -> int:
     grids = _cfg_list(_section(cfg, "converge").get("grids", []),
                       "converge.grids", _cfg_int)
     if args.grids:
-        grids = [int(g) for g in args.grids.split(",")]
+        try:
+            grids = [_cfg_int(int(g), "") for g in args.grids.split(",")]
+        except ValueError:
+            raise ValueError(f"option '--grids': expected integers >= "
+                             f"{MIN_GRID}, got {args.grids!r}") from None
     if not grids:
         raise ValueError("config path 'converge.grids': missing "
                          "(or pass --grids)")

@@ -12,7 +12,7 @@ products and every reported residual unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,20 @@ class OrbitGeometry:
     @property
     def w_interior(self) -> np.ndarray:
         return self.grid.retained(self.w)
+
+    def restrict(self) -> "OrbitGeometry":
+        """Views of this geometry on the half grid.  Its nodes are the
+        even nodes here and its midpoints the odd ones, so this equals
+        orbit_geometry on the half grid bit for bit."""
+        grid = self.grid
+        if grid.N % 2:
+            raise ValueError(f"the half grid needs an even N, got {grid.N}")
+        # retained arrays start at node 0 (periodic) or node 1 (poles
+        # dropped); either way the even nodes are every other entry
+        even = slice(0 if grid.topology is Topology.PERIODIC else 1, None, 2)
+        return OrbitGeometry(H=self.H[even], B2=self.B2[even],
+                             w=self.w[::2], w_mid=self.w[1::2],
+                             grid=replace(grid, N=grid.N // 2), n=self.n)
 
 
 @dataclass(frozen=True)
@@ -70,13 +84,13 @@ def _require_finite(profile: WarpProfile, **arrays) -> None:
 def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     ensure_usable(profile)
     n = profile.n
-    ri = grid.interior
-    phi = np.asarray(profile.phi(ri), float)
-    dphi = np.asarray(profile.dphi(ri), float)
-    quot = dphi / phi
+    r = grid.nodes
+    phi_nodes = np.asarray(profile.phi(r), float)
+    dphi = np.asarray(profile.dphi(grid.retained(r)), float)
+    quot = dphi / grid.retained(phi_nodes)
     H = -quot
     B2 = (n - 1) * quot * quot
-    w = np.asarray(profile.phi(grid.nodes), float) ** (n - 1)
+    w = phi_nodes ** (n - 1)
     if grid.topology is Topology.SPHERE_LIKE:
         # poles carry zero weight exactly, whatever roundoff phi(L) left
         w[0] = 0.0

@@ -25,9 +25,8 @@ import numpy as np
 
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
-from .geometry import OrbitGeometry, RicciProfile, orbit_geometry, ricci_profile
-from .spectral import (DEFAULT_TOL, OperatorKind, SpectralResult, assemble,
-                       first_nonzero_scalar_eigenvalue, smallest_eigenpair)
+from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
+from .spectral import DEFAULT_TOL, OperatorKind, _coarse_to_fine, _solve
 from .warp import (RadialGrid, WarpProfile, ensure_usable, grid_for,
                    lookup_preset, make_preset)
 
@@ -132,35 +131,27 @@ def rigidity_diagnostics(minimizer: InvariantField,
                                laplacian_equality_residual=lap_eq)
 
 
-def _vector_solve(profile: WarpProfile, N: int, tol: float):
-    grid = grid_for(profile, N)
-    geom = orbit_geometry(profile, grid)
-    op = assemble(OperatorKind.ROUGH_VECTOR, profile, geom, grid)
-    return smallest_eigenpair(op, tol=tol), geom, grid
-
-
 def check_bound(profile: WarpProfile, N: int = 2048,
                 tol: float = DEFAULT_TOL,
                 tol_disc: Optional[float] = None) -> TheoremReport:
     """Run the bound lambda_min >= kappa2 as an experiment with verdict.
 
     tol_disc defaults to the grid-doubling eigenvalue difference
-    |lambda_N - lambda_{N/2}| floored at 1e-8; pass a value to override.
+    |lambda_N - lambda_{N/2}| floored at 1e-8; pass a value to override
+    (the N/2 solve is then skipped).
     """
     ensure_usable(profile)
     if N % 2:
         raise ValueError("check_bound needs an even N for the doubling test")
-    fine, geom, grid = _vector_solve(profile, N, tol)
+    lams, fine, geom = _coarse_to_fine(profile, OperatorKind.ROUGH_VECTOR,
+                                       N, tol, 2 if tol_disc is None else 1)
     if tol_disc is None:
-        coarse, _, _ = _vector_solve(profile, N // 2, tol)
-        tol_disc = max(DISC_FLOOR, abs(fine.lam - coarse.lam))
+        tol_disc = max(DISC_FLOOR, abs(lams[1] - lams[0]))
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
-    kappa2 = ricci_profile(profile, grid).kappa2
-    mu1 = first_nonzero_scalar_eigenvalue(
-        assemble(OperatorKind.SCALAR_LAPLACIAN, profile, geom, grid),
-        tol=tol).lam
+    kappa2 = ricci_profile(profile, geom.grid).kappa2
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, profile, geom, tol).lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
     gap = fine.lam - kappa2
@@ -245,11 +236,8 @@ def obata_check(profile: WarpProfile, N: int = 4096,
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {ricci.kappa2:.6g}")
     geom = orbit_geometry(profile, grid)
-    mu1 = first_nonzero_scalar_eigenvalue(
-        assemble(OperatorKind.SCALAR_LAPLACIAN, profile, geom, grid),
-        tol=tol).lam
-    vec = smallest_eigenpair(
-        assemble(OperatorKind.ROUGH_VECTOR, profile, geom, grid), tol=tol)
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, profile, geom, tol).lam
+    vec = _solve(OperatorKind.ROUGH_VECTOR, profile, geom, tol)
     n = profile.n
     defect = abs(mu1 - n * ricci.kappa2)
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))

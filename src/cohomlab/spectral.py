@@ -217,12 +217,23 @@ def _factor(op: DiscreteOperator, sigma: float):
     return solve
 
 
-def _seed(op: DiscreteOperator, deflate_constants: bool) -> np.ndarray:
-    """Deterministic start: sin(pi r / L) for the Dirichlet vector
-    problem, the lowest cosine for the first nonzero scalar mode (one
-    half-wave on a sphere-like grid, one full wave on a circle) and the
-    constant vector otherwise."""
+def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
+    """Deterministic start: the linear interpolant of start (an
+    eigenfunction on the half grid) if given, else sin(pi r / L) for
+    the Dirichlet vector problem, the lowest cosine for the first
+    nonzero scalar mode (one half-wave on a sphere-like grid, one full
+    wave on a circle) and the constant vector otherwise."""
     grid = op.grid
+    if start is not None:
+        if replace(start.grid, N=2 * start.grid.N) != grid:
+            raise ValueError("start must be an eigenfunction on the half grid")
+        # even nodes are the half grid's, odd ones average their neighbours
+        v = start.values
+        right = np.roll(v, -1) if op._periodic else v[1:]
+        x = np.empty(v.size + right.size)
+        x[::2] = v
+        x[1::2] = 0.5 * (v[:right.size] + right)
+        return grid.retained(x)
     r = grid.interior
     if deflate_constants:
         period = 1.0 if grid.topology is Topology.SPHERE_LIKE else 2.0
@@ -240,7 +251,7 @@ def _fix_sign(x: np.ndarray) -> None:
 
 
 def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
-                     deflate_constants: bool):
+                     deflate_constants: bool, start=None):
     """Shifted inverse iteration on K f = lambda W f from _seed(op).
 
     One step solves (K - sigma W) y = W x and takes lambda as the
@@ -271,7 +282,7 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
 
     # only y (the iterate, W-normalized after each step), Wy and, within
     # a step, W x stay alive: at N = 2^20 each is 8 MB
-    y = project(_seed(op, deflate_constants))
+    y = project(_seed(op, deflate_constants, start))
     Wy = W * y
     norm = float(y @ Wy)
     if norm <= 0:
@@ -336,19 +347,20 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol: float = DEFAULT_TOL,
-                       max_iter: int = MAX_ITER) -> SpectralResult:
+                       max_iter: int = MAX_ITER, start=None) -> SpectralResult:
     """Smallest eigenvalue of K f = lambda W f by shifted inverse iteration.
 
-    Deterministic: the seed is sin(pi r / L) for the Dirichlet vector
-    problem and the constant vector otherwise.
+    Deterministic: the seed is start (an eigenfunction on the half
+    grid) interpolated onto this grid, or else _seed's analytic one.
     """
     return _package(op, *_inverse_iterate(
-        op, tol, max_iter, deflate_constants=False))
+        op, tol, max_iter, deflate_constants=False, start=start))
 
 
 def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
                                     tol: float = DEFAULT_TOL,
-                                    max_iter: int = MAX_ITER) -> SpectralResult:
+                                    max_iter: int = MAX_ITER,
+                                    start=None) -> SpectralResult:
     """Smallest eigenvalue on the subspace W-orthogonal to constants.
 
     The scalar operator annihilates constants (the flux form
@@ -358,7 +370,32 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
     if op.kind is not OperatorKind.SCALAR_LAPLACIAN:
         raise ValueError("first nonzero eigenvalue is a scalar-operator query")
     return _package(op, *_inverse_iterate(
-        op, tol, max_iter, deflate_constants=True))
+        op, tol, max_iter, deflate_constants=True, start=start))
+
+
+def _solve(kind: OperatorKind, profile: WarpProfile, geom: OrbitGeometry,
+           tol: float, start=None) -> SpectralResult:
+    oper = assemble(kind, profile, geom, geom.grid)
+    if kind is OperatorKind.SCALAR_LAPLACIAN:
+        return first_nonzero_scalar_eigenvalue(oper, tol=tol, start=start)
+    return smallest_eigenpair(oper, tol=tol, start=start)
+
+
+def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
+                    tol: float, levels: int) -> tuple:
+    """(eigenvalues coarse to fine, result at N, geometry at N) on the
+    grids N / 2^(levels-1), ..., N / 2, N, each solve started from the
+    eigenfunction of the one before (nested iteration).  The profile is
+    evaluated on grid N only; coarser geometries are restricted."""
+    geoms = [orbit_geometry(profile, grid_for(profile, N))]
+    while len(geoms) < levels:
+        geoms.append(geoms[-1].restrict())
+    lams, result = [], None
+    for geom in reversed(geoms):
+        start = None if result is None else result.eigenfunction
+        result = _solve(kind, profile, geom, tol, start)
+        lams.append(result.lam)
+    return lams, result, geoms[0]
 
 
 def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
@@ -366,26 +403,16 @@ def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
                    richardson: bool = False) -> SpectralResult:
     """Assemble and solve at grid N; optionally Richardson-extrapolate
     the eigenvalue against the halved grid (second-order scheme, so
-    lam_extrap = lam_N + (lam_N - lam_{N/2}) / 3).
+    lam_extrap = lam_N + (lam_N - lam_{N/2}) / 3).  The halved grid is
+    solved first and its eigenfunction starts the N solve, whose
+    iterations are the ones reported.
 
     The scalar kind reports the first nonzero eigenvalue.
     """
-    def run(m: int) -> SpectralResult:
-        grid = grid_for(profile, m)
-        geom = orbit_geometry(profile, grid)
-        oper = assemble(kind, profile, geom, grid)
-        if kind is OperatorKind.SCALAR_LAPLACIAN:
-            return first_nonzero_scalar_eigenvalue(oper, tol=tol)
-        return smallest_eigenpair(oper, tol=tol)
-
-    result = run(N)
-    if richardson:
-        if N % 2:
-            raise ValueError("richardson extrapolation needs an even N")
-        coarse = run(N // 2)
-        extrap = result.lam + (result.lam - coarse.lam) / 3.0
-        result = replace(result, extrapolated=extrap)
-    return result
+    lams, result, _ = _coarse_to_fine(profile, kind, N, tol,
+                                      levels=2 if richardson else 1)
+    extrap = lams[1] + (lams[1] - lams[0]) / 3.0 if richardson else None
+    return replace(result, extrapolated=extrap)
 
 
 @dataclass(frozen=True)
@@ -397,7 +424,8 @@ class ConvergenceStudy:
 
 def convergence_study(profile: WarpProfile, kind: OperatorKind,
                       grids, tol: float = DEFAULT_TOL) -> ConvergenceStudy:
-    """Eigenvalues over a doubling family of grids with observed orders.
+    """Eigenvalues over a doubling family of grids with observed orders
+    (solved coarse to fine, see _coarse_to_fine).
 
     order p = log2((lam_N - lam_2N) / (lam_2N - lam_4N)) per triple;
     when successive eigenvalues agree to roundoff (a degenerate exact
@@ -410,7 +438,7 @@ def convergence_study(profile: WarpProfile, kind: OperatorKind,
     for a, b in zip(grids, grids[1:]):
         if b != 2 * a:
             raise ValueError("grids must double: got %d after %d" % (b, a))
-    lams = [solve_smallest(profile, kind, g, tol=tol).lam for g in grids]
+    lams = _coarse_to_fine(profile, kind, grids[-1], tol, len(grids))[0]
     orders = []
     for l1, l2, l3 in zip(lams, lams[1:], lams[2:]):
         d1 = l1 - l2

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,18 @@ def test_converge_reports_order(periodic_cfg, capsys):
     assert payload["orders"][0] == pytest.approx(2.0, abs=0.2)
 
 
+def test_converge_orders_on_committed_config(capsys):
+    # solved coarse to fine from one restricted geometry; the orders
+    # are those of independent solves from the analytic seeds
+    config = Path(__file__).parent.parent / "configs" / "periodic_n3.json"
+    expected = {"vector": 2.0001451004, "scalar": 1.9999721126}
+    for kind, order in expected.items():
+        assert main(["converge", "--config", str(config),
+                     "--kind", kind]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["orders"] == [pytest.approx(order, abs=1e-3)]
+
+
 def test_converge_grids_flag(round_cfg, capsys):
     code = main(["converge", "--config", round_cfg,
                  "--grids", "128,256,512"])
@@ -172,25 +185,35 @@ _SWEEP = {"values": [1.0]}
     ("converge", {"converge": {"grids": [None]}}, "converge.grids[0]"),
     ("converge", {"converge": {"grids": "256"}}, "converge.grids"),
     ("converge", {"converge": [256]}, "converge"),
+    ("verify", {"solver": {"tol": -1}}, "solver.tol"),
+    ("verify --tol 1e-10", {"solver": {"tol": 0}}, "solver.tol"),
+    ("spectrum --tol -1", {}, "--tol"),
+    ("verify --tol nan", {}, "--tol"),
+    ("converge --grids 256,x", {}, "--grids"),
+    ("converge --grids 8,16,32", {}, "--grids"),
 ], ids=["null", "string", "samples-stray-key", "solver-tol-null",
         "solver-not-object", "richardson-string", "sweep-values-null",
         "sweep-start-null", "sweep-param-list", "sweep-tol-nan",
         "converge-grids-null", "converge-grids-string",
-        "converge-not-object"])
+        "converge-not-object", "solver-tol-negative",
+        "solver-tol-zero-under-flag", "tol-flag-negative", "tol-flag-nan",
+        "grids-flag-string", "grids-flag-small"])
 def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
                                      path):
-    # every bad config value exits 2 with one line of error JSON naming
-    # its config path, never with a traceback
+    # every bad config value or flag exits 2 with one line of error JSON
+    # naming its config path or flag, never with a traceback
     cfg = {"n": 3, "topology": "sphere_like",
            "preset": {"type": "round", "k": 1.0}, "grid": {"N": 64},
            **section}
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
-    code = main([command, "--config", str(cfg_path)])
+    code = main([*command.split(), "--config", str(cfg_path)])
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1  # one-line error JSON, no traceback
-    assert f"config path '{path}'" in json.loads(out)["error"]
+    where = (f"option '{path}'" if path.startswith("--")
+             else f"config path '{path}'")
+    assert where in json.loads(out)["error"]
 
 
 def test_outputs_are_byte_identical(round_cfg, tmp_path, capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomlab import (Topology, grid_for, make_preset, orbit_geometry,
-                      periodic_product_profile, ricci_profile, round_profile)
+                      periodic_product_profile, profile_from_samples,
+                      ricci_profile, round_profile)
 
 
 def _setup(profile, N=512):
@@ -106,3 +107,24 @@ def test_midpoint_weights_avoid_pole_singularity():
     grid, geom = _setup(p, 128)
     mids = grid.midpoints
     np.testing.assert_allclose(geom.w_mid, np.sin(mids) ** 4, rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", [1024, 3 * 1024])
+@pytest.mark.parametrize("name", ["round", "bump", "periodic", "samples"])
+def test_restrict_is_half_grid_geometry(name, N):
+    if name == "samples":
+        r = np.linspace(0, math.pi, 129)
+        p = profile_from_samples(r, np.sin(r) * (1 + 0.05 * np.sin(r) ** 2),
+                                 n=3, topology=Topology.SPHERE_LIKE)
+    else:
+        p = {"round": lambda: round_profile(k=1.3, n=3),
+             "bump": lambda: make_preset("Bump", n=4, eps=0.08),
+             "periodic": lambda: periodic_product_profile(c=1.0, a=0.3, n=3),
+             }[name]()
+    half = orbit_geometry(p, grid_for(p, N)).restrict()
+    ref = orbit_geometry(p, grid_for(p, N // 2))
+    assert half.grid == ref.grid and half.n == ref.n
+    for attr in ("H", "B2", "w", "w_mid"):
+        assert np.array_equal(getattr(half, attr), getattr(ref, attr)), attr
+    with pytest.raises(ValueError, match="even"):
+        orbit_geometry(p, grid_for(p, 2 * N + 1)).restrict()

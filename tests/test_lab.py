@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomlab import spectral
 from cohomlab import (OperatorKind, Verdict, assemble, check_bound, grid_for,
                       make_preset, obata_check, orbit_geometry,
                       rigidity_diagnostics, smallest_eigenpair, sweep)
@@ -58,6 +59,21 @@ def test_bound_holds_definition(bump01_n2):
 def test_check_bound_needs_even_grid(round_n2):
     with pytest.raises(ValueError, match="even"):
         check_bound(round_n2, N=333)
+
+
+@pytest.mark.parametrize("tol_disc", [1e-6, 3e-5])
+def test_check_bound_explicit_tol_disc(bump01_n2, tol_disc, monkeypatch):
+    default = check_bound(bump01_n2, N=1024)
+    grids = []
+    iterate = spectral._inverse_iterate
+    monkeypatch.setattr(spectral, "_inverse_iterate",
+                        lambda op, *a, **k: grids.append(op.grid.N)
+                        or iterate(op, *a, **k))
+    rep = check_bound(bump01_n2, N=1024, tol_disc=tol_disc)
+    assert grids == [1024, 1024]  # vector and scalar; no N/2 solve
+    assert rep.tol_disc == tol_disc
+    assert rep.tol_rigid == max(1e-4, 10 * tol_disc)
+    assert rep.lambda_min == pytest.approx(default.lambda_min, rel=1e-12)
 
 
 def test_rigidity_residuals_vanish_on_round(round_n3):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomlab import spectral
 from cohomlab import (BoundaryCondition, ConvergenceError, InvariantField,
                       InvariantFunction, OperatorKind, Topology, assemble,
                       convergence_study, energy_functional,
@@ -113,6 +114,37 @@ def test_solvers_converge_on_fine_grids(name, N):
         assert scal.lam == pytest.approx(3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("N", [1024, 2 ** 15])
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("name", sorted(_FINE_PROFILES))
+def test_coarse_start_matches_seed(name, n, kind, N):
+    # the N solve started from the interpolated N/2 eigenfunction
+    # reaches the seeded solve's eigenpair under the same certificate,
+    # and at fine grids it needs only a few steps
+    spec = dict(_FINE_PROFILES[name], n=n)
+    prof = make_preset(spec.pop("family"), **spec)
+    geom = orbit_geometry(prof, grid_for(prof, N))
+    half = geom.restrict()
+    solve = (smallest_eigenpair if kind is OperatorKind.ROUGH_VECTOR
+             else first_nonzero_scalar_eigenvalue)
+    start = solve(assemble(kind, prof, half, half.grid)).eigenfunction
+    op = assemble(kind, prof, geom, geom.grid)
+    warm, cold = solve(op, start=start), solve(op)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
+    assert max(warm.residual, cold.residual) <= 1e-15
+    if N == 2 ** 15 and kind is OperatorKind.ROUGH_VECTOR:
+        assert warm.iterations <= 3
+
+
+def test_start_must_live_on_the_half_grid(round_n2):
+    op, _, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR, 512)
+    other = smallest_eigenpair(_op(round_n2, OperatorKind.ROUGH_VECTOR,
+                                   128)[0]).eigenfunction
+    with pytest.raises(ValueError, match="half grid"):
+        smallest_eigenpair(op, start=other)
+
+
 def test_round_eigenvalues_at_two_to_the_twenty(round_n3):
     N = 2 ** 20
     vec = solve_smallest(round_n3, OperatorKind.ROUGH_VECTOR, N)
@@ -188,6 +220,18 @@ def test_richardson_extrapolation(round_n2):
     with pytest.raises(ValueError, match="even"):
         solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 129,
                        richardson=True)
+
+
+def test_richardson_odd_grid_fails_before_solving(round_n2, monkeypatch):
+    calls = []
+    iterate = spectral._inverse_iterate
+    monkeypatch.setattr(spectral, "_inverse_iterate",
+                        lambda op, *a, **k: calls.append(op.grid.N)
+                        or iterate(op, *a, **k))
+    with pytest.raises(ValueError, match="even"):
+        solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 129,
+                       richardson=True)
+    assert calls == []
 
 
 def test_first_nonzero_requires_scalar(round_n2):
