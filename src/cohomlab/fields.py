@@ -157,6 +157,22 @@ def cell_diffs(x: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return d
 
 
+# numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
+# threaded ddot, whose worker threads then spin on the other cores for
+# about 0.1 s after every call; blocks of this size stay single-threaded
+DOT_BLOCK = 8192
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for 1-D arrays, summed over blocks of DOT_BLOCK entries so
+    that no single BLAS call crosses OpenBLAS's threading cut-off (short
+    vectors are one call, exactly float(a @ b))."""
+    if a.size <= DOT_BLOCK:
+        return float(a @ b)
+    return sum(float(a[i:i + DOT_BLOCK] @ b[i:i + DOT_BLOCK])
+               for i in range(0, a.size, DOT_BLOCK))
+
+
 def difference_form(diffs: np.ndarray, cond: np.ndarray, values: np.ndarray,
                     potential=None) -> float:
     """Stiffness form sum_cells cond (df)^2 + sum_nodes potential f^2.
@@ -167,9 +183,9 @@ def difference_form(diffs: np.ndarray, cond: np.ndarray, values: np.ndarray,
     cancellation: the relative rounding error stays at machine
     precision at any grid size, unlike x . (K x).
     """
-    num = float(diffs @ (cond * diffs))
+    num = dot(diffs, cond * diffs)
     if potential is not None:
-        num += float(values @ (potential * values))
+        num += dot(values, potential * values)
     return num
 
 

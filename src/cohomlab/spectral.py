@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .fields import (InvariantField, InvariantFunction, cell_diffs,
-                     difference_form)
+                     difference_form, dot)
 from .geometry import OrbitGeometry, orbit_geometry
 from .warp import MIN_GRID, RadialGrid, Topology, WarpProfile, grid_for
 
@@ -140,7 +140,6 @@ class SpectralResult:
 
     lam: float
     eigenfunction: Union[InvariantField, InvariantFunction]
-    rayleigh: float
     iterations: int
     residual: float
     grid_N: int
@@ -218,7 +217,7 @@ def _factor(op: DiscreteOperator, sigma: float):
 
 
 def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
-    """Deterministic start: the linear interpolant of start (an
+    """Deterministic start: the 4-point cubic interpolant of start (an
     eigenfunction on the half grid) if given, else sin(pi r / L) for
     the Dirichlet vector problem, the lowest cosine for the first
     nonzero scalar mode (one half-wave on a sphere-like grid, one full
@@ -227,12 +226,20 @@ def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
     if start is not None:
         if replace(start.grid, N=2 * start.grid.N) != grid:
             raise ValueError("start must be an eigenfunction on the half grid")
-        # even nodes are the half grid's, odd ones average their neighbours
+        # even nodes are the half grid's; each odd one is the cubic
+        # (-v[j-1] + 9 v[j] + 9 v[j+1] - v[j+2]) / 16 through the four
+        # nearest, with a ghost node past each end: cyclic on a circle,
+        # else the pole reflection (odd for fields, even for functions)
         v = start.values
-        right = np.roll(v, -1) if op._periodic else v[1:]
-        x = np.empty(v.size + right.size)
+        if op._periodic:
+            ext = np.concatenate((v[-1:], v, v[:2]))
+        else:
+            s = -1.0 if op.kind is OperatorKind.ROUGH_VECTOR else 1.0
+            ext = np.concatenate(((s * v[1],), v, (s * v[-2],)))
+        mid = (9.0 * (ext[1:-2] + ext[2:-1]) - ext[:-3] - ext[3:]) / 16.0
+        x = np.empty(v.size + mid.size)
         x[::2] = v
-        x[1::2] = 0.5 * (v[:right.size] + right)
+        x[1::2] = mid
         return grid.retained(x)
     r = grid.interior
     if deflate_constants:
@@ -245,8 +252,9 @@ def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
 
 def _fix_sign(x: np.ndarray) -> None:
     """Flip x in place so that its first non-negligible entry is > 0."""
-    nz = np.flatnonzero(np.abs(x) > 1e-12 * float(np.max(np.abs(x))))
-    if nz.size and x[nz[0]] < 0:
+    a = np.abs(x)
+    # argmax finds the first True; an all-zero x gives index 0, not flipped
+    if x[np.argmax(a > 1e-12 * a.max())] < 0:
         np.negative(x, out=x)
 
 
@@ -273,18 +281,18 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
 
     def project(v):
         if deflate_constants:
-            v -= float(W @ v) / mass
+            v -= dot(W, v) / mass
         return v
 
     def backward_error(r, lam, v):
-        return math.sqrt(float(r @ r) / float(v @ v)) \
+        return math.sqrt(dot(r, r) / dot(v, v)) \
             / (scale_K + abs(lam) * scale_W)
 
     # only y (the iterate, W-normalized after each step), Wy and, within
     # a step, W x stay alive: at N = 2^20 each is 8 MB
     y = project(_seed(op, deflate_constants, start))
     Wy = W * y
-    norm = float(y @ Wy)
+    norm = dot(y, Wy)
     if norm <= 0:
         raise ValueError("seed vector vanishes after deflation")
     y /= math.sqrt(norm)
@@ -302,7 +310,7 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
         Wx = Wy
         y = project(solve(Wx))
         Wy = W * y
-        yWy = float(y @ Wy)
+        yWy = dot(y, Wy)
         lam_prev, lam = lam, op.quadform(y) / yWy
         change = abs(lam - lam_prev)
         eta = math.inf
@@ -328,7 +336,6 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
 def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
              residual: float) -> SpectralResult:
     _fix_sign(x)
-    rayleigh = op.quadform(x) / float(x @ (op.weight * x))
     grid = op.grid
     vector = op.kind is OperatorKind.ROUGH_VECTOR
     values = x
@@ -342,8 +349,8 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
             values[-1] = (4.0 * x[-1] - x[-2]) / 3.0
     cls = InvariantField if vector else InvariantFunction
     return SpectralResult(lam=lam, eigenfunction=cls(values=values, grid=grid),
-                          rayleigh=rayleigh, iterations=iterations,
-                          residual=residual, grid_N=grid.N)
+                          iterations=iterations, residual=residual,
+                          grid_N=grid.N)
 
 
 def smallest_eigenpair(op: DiscreteOperator, tol: float = DEFAULT_TOL,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomlab import fields
 from cohomlab import (InvariantField, InvariantFunction, Topology,
                       bochner_bound, bochner_residual, cauchy_schwarz_check,
                       derivative, energy_functional, grid_for, make_preset,
@@ -18,6 +19,15 @@ def round_setup():
     p = make_preset("Round", n=2, k=1.0)
     grid = grid_for(p, 1024)
     return p, grid, orbit_geometry(p, grid)
+
+
+@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 3 * 2 ** 14 + 1])
+def test_dot_matches_reference(size):
+    # short vectors are one BLAS call, long ones a sum over blocks
+    rng = np.random.default_rng(size)
+    a, b = rng.standard_normal(size), rng.standard_normal(size)
+    exact = math.fsum(a * b)
+    assert abs(fields.dot(a, b) - exact) <= 1e-15 * math.fsum(np.abs(a * b))
 
 
 def test_field_must_vanish_at_poles(round_setup):
