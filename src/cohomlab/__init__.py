@@ -5,17 +5,16 @@ diagnostics and the first-eigenvalue sphere criterion.
 
 from .fields import (CauchySchwarzReport, InvariantField, InvariantFunction,
                      bochner_bound, bochner_residual, cauchy_schwarz_check,
-                     derivative, energy_functional, hessian_norm_sq,
-                     laplacian_of_potential, reconstruct_potential,
-                     second_derivative, weighted_integral)
+                     derivative, reconstruct_potential, second_derivative,
+                     weighted_integral)
 from .geometry import (OrbitGeometry, RicciProfile, orbit_geometry,
                        ricci_profile)
 from .lab import (ObataReport, RigidityDiagnostics, SweepRow, TheoremReport,
                   Verdict, check_bound, obata_check, rigidity_diagnostics,
                   sweep)
-from .spectral import (BoundaryCondition, ConvergenceError, ConvergenceStudy,
-                       DiscreteOperator, OperatorKind, SpectralResult,
-                       assemble, convergence_study,
+from .spectral import (ConvergenceError, ConvergenceStudy, DiscreteOperator,
+                       OperatorKind, SpectralResult, assemble,
+                       convergence_study, energy_functional,
                        first_nonzero_scalar_eigenvalue, smallest_eigenpair,
                        solve_smallest)
 from .warp import (CheckResult, RadialGrid, Topology, ValidationReport,
@@ -27,16 +26,15 @@ from .warp import (CheckResult, RadialGrid, Topology, ValidationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryCondition", "CauchySchwarzReport", "CheckResult",
-    "ConvergenceError", "ConvergenceStudy", "DiscreteOperator",
-    "InvariantField", "InvariantFunction", "ObataReport", "OperatorKind",
-    "OrbitGeometry", "RadialGrid", "RicciProfile", "RigidityDiagnostics",
-    "SpectralResult", "SweepRow", "TheoremReport", "Topology",
-    "ValidationReport", "Verdict", "WarpProfile", "assemble",
-    "bochner_bound", "bochner_residual", "bump_profile",
-    "cauchy_schwarz_check", "check_bound", "convergence_study", "derivative",
-    "energy_functional", "ensure_usable", "first_nonzero_scalar_eigenvalue",
-    "grid_for", "hessian_norm_sq", "laplacian_of_potential", "make_preset",
+    "CauchySchwarzReport", "CheckResult", "ConvergenceError",
+    "ConvergenceStudy", "DiscreteOperator", "InvariantField",
+    "InvariantFunction", "ObataReport", "OperatorKind", "OrbitGeometry",
+    "RadialGrid", "RicciProfile", "RigidityDiagnostics", "SpectralResult",
+    "SweepRow", "TheoremReport", "Topology", "ValidationReport", "Verdict",
+    "WarpProfile", "assemble", "bochner_bound", "bochner_residual",
+    "bump_profile", "cauchy_schwarz_check", "check_bound",
+    "convergence_study", "derivative", "energy_functional", "ensure_usable",
+    "first_nonzero_scalar_eigenvalue", "grid_for", "make_preset",
     "obata_check", "orbit_geometry", "periodic_product_profile",
     "profile_from_config", "profile_from_samples", "profile_to_config",
     "reconstruct_potential", "ricci_profile", "rigidity_diagnostics",

@@ -9,8 +9,8 @@ stdout unless --out is given; a short human summary always goes to
 stderr.
 
 Exit codes: 0 success (including HypothesisNotMet verdicts), 1 bound
-violation (verify only), 2 config/IO/solver errors (one-line error
-JSON on stdout).
+violation (verify only), 2 config/IO/solver/out-of-memory errors
+(one-line error JSON on stdout).
 """
 
 from __future__ import annotations
@@ -149,7 +149,10 @@ def _cmd_geometry(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     profile, grid = profile_from_config(cfg)
-    N = args.grid if args.grid is not None else grid.N
+    if args.grid is not None and args.grid < MIN_GRID:
+        raise ValueError(f"option '--grid': expected an integer >= "
+                         f"{MIN_GRID}, got {args.grid}")
+    N = grid.N if args.grid is None else args.grid
     tol, richardson = _solver_opts(cfg, args)
     kind = (OperatorKind.SCALAR_LAPLACIAN if args.kind == "scalar"
             else OperatorKind.ROUGH_VECTOR)
@@ -317,6 +320,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
+        return 2
+    except MemoryError as exc:  # a grid N too large for this machine
+        print(json.dumps({"error": str(exc) or "out of memory",
+                          "type": "MemoryError"}))
         return 2
 
 

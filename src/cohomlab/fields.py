@@ -53,10 +53,6 @@ class InvariantField:
             v[-1] = 0.0
         object.__setattr__(self, "values", v)
 
-    @property
-    def interior(self) -> np.ndarray:
-        return self.grid.retained(self.values)
-
 
 @dataclass(frozen=True)
 class InvariantFunction:
@@ -85,10 +81,6 @@ class InvariantFunction:
                     f"one-sided pole slope {one_sided:.3g} exceeds the "
                     f"smooth-closure tolerance {tol:.3g}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.grid.retained(self.values)
 
 
 def derivative(values: np.ndarray, grid: RadialGrid, parity: str) -> np.ndarray:
@@ -144,70 +136,6 @@ def weighted_integral(values_interior: np.ndarray, geom: OrbitGeometry) -> float
     return float(np.sum(values_interior * geom.w_interior) * geom.grid.dx)
 
 
-def cell_diffs(x: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Differences of x across the N cells of grid, x given at the
-    retained nodes (sphere-like: against zero pole values; periodic:
-    cyclic)."""
-    if grid.topology is Topology.PERIODIC:
-        return np.roll(x, -1) - x
-    d = np.empty(x.size + 1)
-    d[0] = x[0]
-    np.subtract(x[1:], x[:-1], out=d[1:-1])
-    d[-1] = -x[-1]
-    return d
-
-
-# numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
-# threaded ddot, whose worker threads then spin on the other cores for
-# about 0.1 s after every call; blocks of this size stay single-threaded
-DOT_BLOCK = 8192
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b for 1-D arrays, summed over blocks of DOT_BLOCK entries so
-    that no single BLAS call crosses OpenBLAS's threading cut-off (short
-    vectors are one call, exactly float(a @ b))."""
-    if a.size <= DOT_BLOCK:
-        return float(a @ b)
-    return sum(float(a[i:i + DOT_BLOCK] @ b[i:i + DOT_BLOCK])
-               for i in range(0, a.size, DOT_BLOCK))
-
-
-def difference_form(diffs: np.ndarray, cond: np.ndarray, values: np.ndarray,
-                    potential=None) -> float:
-    """Stiffness form sum_cells cond (df)^2 + sum_nodes potential f^2.
-
-    diffs are the cell differences of f, cond the cell conductances
-    w_mid/dx and potential the nodal term dx w |B|^2 (None for the scalar
-    Laplacian).  Every term is nonnegative, so the sum carries no
-    cancellation: the relative rounding error stays at machine
-    precision at any grid size, unlike x . (K x).
-    """
-    num = dot(diffs, cond * diffs)
-    if potential is not None:
-        num += dot(values, potential * values)
-    return num
-
-
-def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
-    """Rayleigh quotient F(V) = int (f'^2 + |B|^2 f^2) w / int f^2 w.
-
-    The numerator is difference_form, the same formula the assembled
-    operator's quadform evaluates, so F is exactly the quotient of the
-    stiffness and mass forms: every boundary-compatible trial field
-    then satisfies F >= lambda_min up to solver tolerance, not just up
-    to discretization error.
-    """
-    dx = field.grid.dx
-    fi = field.interior
-    num = difference_form(cell_diffs(fi, field.grid), geom.w_mid / dx, fi,
-                          dx * geom.w_interior * geom.B2)
-    den = float(np.sum(geom.w_interior * fi * fi) * dx)
-    if den == 0.0:
-        raise ValueError("zero field")
-    return num / den
-
-
 def radial_calculus(fn: InvariantFunction | InvariantField,
                     geom: OrbitGeometry) -> tuple:
     """(f, f', Delta h, |Hess h|^2) at the retained nodes, with f = h'.
@@ -221,24 +149,10 @@ def radial_calculus(fn: InvariantFunction | InvariantField,
         f = grid.retained(derivative(fn.values, grid, "even"))
         fp = grid.retained(second_derivative(fn.values, grid, "even"))
     else:
-        f = fn.interior
+        f = grid.retained(fn.values)
         fp = grid.retained(derivative(fn.values, grid, "odd"))
     n = geom.n
     return f, fp, fp - (n - 1) * f * geom.H, fp * fp + f * f * geom.B2
-
-
-def laplacian_of_potential(h: InvariantFunction,
-                           geom: OrbitGeometry) -> np.ndarray:
-    """Delta h = N(f) - (n-1) f H at interior nodes, where f = h'.
-
-    Agrees with the divergence form (w h')'/w to O(dx^2).
-    """
-    return radial_calculus(h, geom)[2]
-
-
-def hessian_norm_sq(field: InvariantField, geom: OrbitGeometry) -> np.ndarray:
-    """|Hess h|^2 = f'^2 + f^2 |B|^2 nodewise for f the gradient profile."""
-    return radial_calculus(field, geom)[3]
 
 
 @dataclass(frozen=True)
@@ -312,7 +226,7 @@ def bochner_bound(field: InvariantField, geom: OrbitGeometry,
     Valid for gradient fields; exceeds kappa2 whenever Ric is constant
     and equals F exactly in the round equality case.
     """
-    fi = field.interior
+    fi = field.grid.retained(field.values)
     den = weighted_integral(fi * fi, geom)
     if den == 0.0:
         raise ValueError("zero field")

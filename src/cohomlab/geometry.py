@@ -68,8 +68,6 @@ class RicciProfile:
     ric_min: float
     kappa2: float
     argmin_r: float
-    grid: RadialGrid
-    n: int
 
 
 def _require_finite(profile: WarpProfile, **arrays) -> None:
@@ -131,6 +129,4 @@ def ricci_profile(profile: WarpProfile, grid: RadialGrid) -> RicciProfile:
         ric_min=ric_min,
         kappa2=ric_min / (n - 1),
         argmin_r=float(ri[i]),
-        grid=grid,
-        n=n,
     )

@@ -141,8 +141,6 @@ def check_bound(profile: WarpProfile, N: int = 2048,
     (the N/2 solve is then skipped).
     """
     ensure_usable(profile)
-    if N % 2:
-        raise ValueError("check_bound needs an even N for the doubling test")
     lams, fine, geom = _coarse_to_fine(profile, OperatorKind.ROUGH_VECTOR,
                                        N, tol, 2 if tol_disc is None else 1)
     if tol_disc is None:
@@ -151,7 +149,7 @@ def check_bound(profile: WarpProfile, N: int = 2048,
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
     kappa2 = ricci_profile(profile, geom.grid).kappa2
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, profile, geom, tol).lam
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom, tol).lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
     gap = fine.lam - kappa2
@@ -236,8 +234,8 @@ def obata_check(profile: WarpProfile, N: int = 4096,
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {ricci.kappa2:.6g}")
     geom = orbit_geometry(profile, grid)
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, profile, geom, tol).lam
-    vec = _solve(OperatorKind.ROUGH_VECTOR, profile, geom, tol)
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom, tol).lam
+    vec = _solve(OperatorKind.ROUGH_VECTOR, geom, tol)
     n = profile.n
     defect = abs(mu1 - n * ricci.kappa2)
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))

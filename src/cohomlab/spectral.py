@@ -27,10 +27,9 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .fields import (InvariantField, InvariantFunction, cell_diffs,
-                     difference_form, dot)
+from .fields import InvariantField, InvariantFunction
 from .geometry import OrbitGeometry, orbit_geometry
-from .warp import MIN_GRID, RadialGrid, Topology, WarpProfile, grid_for
+from .warp import RadialGrid, Topology, WarpProfile, grid_for
 
 # relative change of the eigenvalue between successive steps at which
 # iteration may stop (the `tol` argument)
@@ -45,6 +44,10 @@ BACKWARD_TOL = 1e-15
 # a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 MAX_ITER = 200
+# numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
+# threaded ddot, whose worker threads then spin on the other cores for
+# about 0.1 s after every call; blocks of this size stay single-threaded
+DOT_BLOCK = 8192
 
 
 class OperatorKind(Enum):
@@ -52,16 +55,20 @@ class OperatorKind(Enum):
     SCALAR_LAPLACIAN = "scalar_laplacian"
 
 
-class BoundaryCondition(Enum):
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-    PERIODIC = "periodic"
-
-
 class ConvergenceError(RuntimeError):
     def __init__(self, message: str, last_residual: float):
         super().__init__(message)
         self.last_residual = last_residual
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for 1-D arrays, summed over blocks of DOT_BLOCK entries so
+    that no single BLAS call crosses OpenBLAS's threading cut-off (short
+    vectors are one call, exactly float(a @ b))."""
+    if a.size <= DOT_BLOCK:
+        return float(a @ b)
+    return sum(float(a[i:i + DOT_BLOCK] @ b[i:i + DOT_BLOCK])
+               for i in range(0, a.size, DOT_BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,15 +81,13 @@ class DiscreteOperator:
     two pole cells set to zero for Neumann so that no flux crosses a
     pole; potential is dx w |B|^2 at the retained nodes (None for the
     scalar Laplacian); weight is the diagonal mass W = w dx, positive
-    at every retained node.  The (cyclic) tridiagonal entries diag,
-    offdiag and corner are derived from cond and potential.
+    at every retained node.
     """
 
     kind: OperatorKind
     cond: np.ndarray
     potential: Optional[np.ndarray]
     weight: np.ndarray
-    boundary: BoundaryCondition
     grid: RadialGrid
 
     @property
@@ -91,26 +96,12 @@ class DiscreteOperator:
 
     @property
     def _periodic(self) -> bool:
-        return self.boundary is BoundaryCondition.PERIODIC
+        return self.grid.topology is Topology.PERIODIC
 
     def _node_cond(self) -> np.ndarray:
         """Conductance into each retained node: c_left + c_right."""
         c = self.cond
         return np.roll(c, 1) + c if self._periodic else c[:-1] + c[1:]
-
-    @property
-    def diag(self) -> np.ndarray:
-        d = self._node_cond()
-        return d if self.potential is None else d + self.potential
-
-    @property
-    def offdiag(self) -> np.ndarray:
-        return -(self.cond[:-1] if self._periodic else self.cond[1:-1])
-
-    @property
-    def corner(self) -> float:
-        """The wrap-around stiffness entry (periodic only, else 0)."""
-        return float(-self.cond[-1]) if self._periodic else 0.0
 
     def norm_bound(self) -> float:
         """Largest row sum of |K|, 2 (c_left + c_right) + potential,
@@ -120,17 +111,34 @@ class DiscreteOperator:
             row += self.potential
         return float(np.max(row))
 
+    def _diffs(self, x: np.ndarray) -> np.ndarray:
+        """Differences of x across the N cells (x at the retained nodes;
+        sphere-like: against zero pole values; periodic: cyclic)."""
+        if self._periodic:
+            return np.roll(x, -1) - x
+        d = np.empty(x.size + 1)
+        d[0] = x[0]
+        np.subtract(x[1:], x[:-1], out=d[1:-1])
+        d[-1] = -x[-1]
+        return d
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        flux = self.cond * cell_diffs(x, self.grid)
+        flux = self.cond * self._diffs(x)
         y = np.roll(flux, 1) - flux if self._periodic else flux[:-1] - flux[1:]
         if self.potential is not None:
             y += self.potential * x
         return y
 
     def quadform(self, x: np.ndarray) -> float:
-        """x^T K x in difference form (fields.difference_form)."""
-        return difference_form(cell_diffs(x, self.grid), self.cond, x,
-                               self.potential)
+        """x^T K x in difference form, sum_cells cond (dx)^2 +
+        sum_nodes potential x^2.  Every term is nonnegative, so the sum
+        carries no cancellation: the relative rounding error stays at
+        machine precision at any grid size, unlike x . (K x)."""
+        d = self._diffs(x)
+        num = dot(d, self.cond * d)
+        if self.potential is not None:
+            num += dot(x, self.potential * x)
+        return num
 
 
 @dataclass(frozen=True)
@@ -146,34 +154,45 @@ class SpectralResult:
     extrapolated: Optional[float] = None
 
 
-def assemble(kind: OperatorKind, profile: WarpProfile, geom: OrbitGeometry,
-             grid: RadialGrid) -> DiscreteOperator:
-    """Build the flux-form operator pair (K, W) on the retained nodes.
+def assemble(kind: OperatorKind, geom: OrbitGeometry) -> DiscreteOperator:
+    """Build the flux-form operator pair (K, W) on geom's grid.
 
     Sphere-like grids retain the interior nodes 1..N-1 (the poles carry
     zero weight and either a Dirichlet value or no flux); periodic
     grids retain all N distinct nodes and close the cells cyclically.
     """
+    grid = geom.grid
     dx = grid.dx
     cond = geom.w_mid / dx
     w = geom.w_interior
     potential = dx * w * geom.B2 if kind is OperatorKind.ROUGH_VECTOR else None
-    if grid.topology is Topology.SPHERE_LIKE:
-        if kind is OperatorKind.ROUGH_VECTOR:
-            if grid.N < MIN_GRID:
-                raise ValueError(f"vector problem needs N >= {MIN_GRID}")
-            boundary = BoundaryCondition.DIRICHLET
-        else:
-            # no flux through the poles: the two boundary cells conduct 0
-            cond[0] = cond[-1] = 0.0
-            boundary = BoundaryCondition.NEUMANN
-    else:
-        boundary = BoundaryCondition.PERIODIC
+    if (kind is OperatorKind.SCALAR_LAPLACIAN
+            and grid.topology is Topology.SPHERE_LIKE):
+        # Neumann: no flux through the poles, the two boundary cells conduct 0
+        cond[0] = cond[-1] = 0.0
     weight = w * dx
     if not np.all(weight > 0):
         raise ValueError("mass entries must be positive at retained nodes")
     return DiscreteOperator(kind=kind, cond=cond, potential=potential,
-                            weight=weight, boundary=boundary, grid=grid)
+                            weight=weight, grid=grid)
+
+
+def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
+    """Rayleigh quotient F(V) = int (f'^2 + |B|^2 f^2) w / int f^2 w.
+
+    F is exactly the quotient of the stiffness and mass forms of
+    assemble(ROUGH_VECTOR, geom), so every boundary-compatible trial
+    field satisfies F >= lambda_min up to solver tolerance, not just up
+    to discretization error.
+    """
+    if field.grid != geom.grid:
+        raise ValueError("field and geometry live on different grids")
+    op = assemble(OperatorKind.ROUGH_VECTOR, geom)
+    x = geom.grid.retained(field.values)
+    den = dot(x, op.weight * x)
+    if den == 0.0:
+        raise ValueError("zero field")
+    return op.quadform(x) / den
 
 
 # --- banded solves -------------------------------------------------------
@@ -182,17 +201,23 @@ def _factor(op: DiscreteOperator, sigma: float):
     """Cholesky factor of K - sigma W (cyclic corner handled separately).
 
     For the periodic case K_c = T' + c u u^T with u = e_0 + e_{M-1} and
-    c = corner < 0, so T' = K_c - c u u^T stays positive definite and a
+    c = -cond[-1] < 0 the wrap-around entry, so T' = K_c - c u u^T stays positive definite and a
     single Sherman-Morrison correction recovers the cyclic solve.
     """
+    periodic, cond = op._periodic, op.cond
     # Fortran order lets LAPACK factor ab in place
     ab = np.empty((2, op.size), order="F")
     ab[0, 0] = 0.0
-    ab[0, 1:] = op.offdiag
+    ab[0, 1:] = -(cond[:-1] if periodic else cond[1:-1])
+    # diag is summed before it meets -sigma W: adding its two terms to ab
+    # one at a time rounds differently and moves printed last digits
+    diag = op._node_cond()
+    if op.potential is not None:
+        diag += op.potential
     np.multiply(op.weight, -sigma, out=ab[1])
-    ab[1] += op.diag
-    corner = op.corner
-    if op.boundary is BoundaryCondition.PERIODIC:
+    ab[1] += diag
+    if periodic:
+        corner = float(-cond[-1])
         ab[1, 0] -= corner
         ab[1, -1] -= corner
     cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
@@ -200,7 +225,7 @@ def _factor(op: DiscreteOperator, sigma: float):
     def chol_solve(b):
         return cho_solve_banded((cb, False), b, check_finite=False)
 
-    if op.boundary is not BoundaryCondition.PERIODIC:
+    if not periodic:
         return chol_solve
 
     u = np.zeros(op.size)
@@ -245,7 +270,7 @@ def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
     if deflate_constants:
         period = 1.0 if grid.topology is Topology.SPHERE_LIKE else 2.0
         return np.cos(period * math.pi * r / grid.L)
-    if op.boundary is BoundaryCondition.DIRICHLET:
+    if op.kind is OperatorKind.ROUGH_VECTOR and not op._periodic:
         return np.sin(math.pi * r / grid.L)
     return np.ones(op.size)
 
@@ -380,9 +405,9 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
         op, tol, max_iter, deflate_constants=True, start=start))
 
 
-def _solve(kind: OperatorKind, profile: WarpProfile, geom: OrbitGeometry,
-           tol: float, start=None) -> SpectralResult:
-    oper = assemble(kind, profile, geom, geom.grid)
+def _solve(kind: OperatorKind, geom: OrbitGeometry, tol: float,
+           start=None) -> SpectralResult:
+    oper = assemble(kind, geom)
     if kind is OperatorKind.SCALAR_LAPLACIAN:
         return first_nonzero_scalar_eigenvalue(oper, tol=tol, start=start)
     return smallest_eigenpair(oper, tol=tol, start=start)
@@ -400,7 +425,7 @@ def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
     lams, result = [], None
     for geom in reversed(geoms):
         start = None if result is None else result.eigenfunction
-        result = _solve(kind, profile, geom, tol, start)
+        result = _solve(kind, geom, tol, start)
         lams.append(result.lam)
     return lams, result, geoms[0]
 

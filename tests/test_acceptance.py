@@ -51,7 +51,7 @@ def test_criterion_1_round_infimum():
         grid = res.eigenfunction.grid
         geom = orbit_geometry(prof, grid)
         ti = np.sin(k * grid.interior)
-        fi = res.eigenfunction.interior
+        fi = grid.retained(res.eigenfunction.values)
         c = weighted_integral(fi * ti, geom) / weighted_integral(ti * ti, geom)
         err = math.sqrt(weighted_integral((fi - c * ti) ** 2, geom)
                         / weighted_integral(fi * fi, geom))
@@ -222,8 +222,7 @@ def _rigidity(prof, N):
     from cohomlab import assemble, rigidity_diagnostics, smallest_eigenpair
     grid = grid_for(prof, N)
     geom = orbit_geometry(prof, grid)
-    res = smallest_eigenpair(assemble(OperatorKind.ROUGH_VECTOR, prof, geom,
-                                      grid))
+    res = smallest_eigenpair(assemble(OperatorKind.ROUGH_VECTOR, geom))
     return rigidity_diagnostics(res.eigenfunction, geom)
 
 

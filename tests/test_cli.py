@@ -63,6 +63,23 @@ def test_verify_exit_one_on_violation(round_cfg, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["bound_holds"] is False
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_out_of_memory_is_exit_two(round_cfg, capsys, monkeypatch, command):
+    # a grid too large for memory is a refusal (exit 2, one line of
+    # error JSON), not a violated bound (exit 1) with a traceback
+    def oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+    monkeypatch.setattr("cohomlab.cli.check_bound", oom)
+    monkeypatch.setattr("cohomlab.cli.solve_smallest", oom)
+    code = main([command, "--config", round_cfg])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "Unable to allocate 22.4 GiB for "
+                                        "an array", "type": "MemoryError"}
+
+
 def test_spectrum_scalar_near_two(round_cfg, capsys):
     code = main(["spectrum", "--config", round_cfg, "--kind", "scalar"])
     payload = json.loads(capsys.readouterr().out)
@@ -191,13 +208,14 @@ _SWEEP = {"values": [1.0]}
     ("verify --tol nan", {}, "--tol"),
     ("converge --grids 256,x", {}, "--grids"),
     ("converge --grids 8,16,32", {}, "--grids"),
+    ("spectrum --grid 8", {}, "--grid"),
 ], ids=["null", "string", "samples-stray-key", "solver-tol-null",
         "solver-not-object", "richardson-string", "sweep-values-null",
         "sweep-start-null", "sweep-param-list", "sweep-tol-nan",
         "converge-grids-null", "converge-grids-string",
         "converge-not-object", "solver-tol-negative",
         "solver-tol-zero-under-flag", "tol-flag-negative", "tol-flag-nan",
-        "grids-flag-string", "grids-flag-small"])
+        "grids-flag-string", "grids-flag-small", "grid-flag-small"])
 def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
                                      path):
     # every bad config value or flag exits 2 with one line of error JSON

@@ -14,8 +14,7 @@ from cohomlab import (OperatorKind, Verdict, assemble, check_bound, grid_for,
 def _minimizer(profile, N):
     grid = grid_for(profile, N)
     geom = orbit_geometry(profile, grid)
-    res = smallest_eigenpair(assemble(OperatorKind.ROUGH_VECTOR, profile,
-                                      geom, grid))
+    res = smallest_eigenpair(assemble(OperatorKind.ROUGH_VECTOR, geom))
     return res, geom
 
 
@@ -57,8 +56,12 @@ def test_bound_holds_definition(bump01_n2):
 
 
 def test_check_bound_needs_even_grid(round_n2):
+    # the doubling test needs the half grid; an explicit tol_disc skips
+    # the N/2 solve, and then an odd N is fine
     with pytest.raises(ValueError, match="even"):
         check_bound(round_n2, N=333)
+    rep = check_bound(round_n2, N=333, tol_disc=1e-6)
+    assert rep.grid_N == 333 and rep.tol_disc == 1e-6
 
 
 @pytest.mark.parametrize("tol_disc", [1e-6, 3e-5])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import fields, spectral
-from cohomlab import (BoundaryCondition, ConvergenceError, InvariantField,
+from cohomlab import spectral
+from cohomlab import (ConvergenceError, InvariantField,
                       InvariantFunction, OperatorKind, Topology, assemble,
                       convergence_study, energy_functional,
                       first_nonzero_scalar_eigenvalue, grid_for, make_preset,
@@ -19,20 +19,38 @@ from cohomlab import (BoundaryCondition, ConvergenceError, InvariantField,
 def _op(profile, kind, N=512):
     grid = grid_for(profile, N)
     geom = orbit_geometry(profile, grid)
-    return assemble(kind, profile, geom, grid), grid, geom
+    return assemble(kind, geom), grid, geom
+
+
+def _dense(op):
+    """K as a dense matrix, column by column from matvec."""
+    return np.column_stack([op.matvec(e) for e in np.eye(op.size)])
 
 
 def test_assemble_shapes_and_boundaries(round_n2, periodic_n3):
+    # Dirichlet and periodic operators conduct through all N cells;
+    # Neumann cuts the two pole cells so that no flux leaves
     op, grid, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR)
     assert op.size == grid.N - 1
-    assert op.boundary is BoundaryCondition.DIRICHLET
-    assert op.corner == 0.0
-    op, _, _ = _op(round_n2, OperatorKind.SCALAR_LAPLACIAN)
-    assert op.boundary is BoundaryCondition.NEUMANN
+    assert op.cond.size == grid.N and np.all(op.cond > 0)
+    op, grid, _ = _op(round_n2, OperatorKind.SCALAR_LAPLACIAN)
+    assert op.cond.size == grid.N and op.cond[0] == op.cond[-1] == 0.0
     op, grid, _ = _op(periodic_n3, OperatorKind.ROUGH_VECTOR)
     assert op.size == grid.N
-    assert op.boundary is BoundaryCondition.PERIODIC
-    assert op.corner < 0.0
+    assert op.cond.size == grid.N and np.all(op.cond > 0)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("profile", ["round_n2", "periodic_n3"])
+def test_factor_matches_dense_solve(request, profile, kind):
+    # the band _factor builds from cond and potential, with the
+    # Sherman-Morrison corner on a circle, solves K - sigma W exactly
+    op, _, _ = _op(request.getfixturevalue(profile), kind, 64)
+    sigma = -0.3
+    b = np.random.default_rng(3).standard_normal(op.size)
+    ref = np.linalg.solve(_dense(op) - sigma * np.diag(op.weight), b)
+    x = spectral._factor(op, sigma)(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_mass_is_positive(round_n2, periodic_n3):
@@ -47,7 +65,7 @@ def test_scalar_operator_annihilates_constants(round_n2, periodic_n3):
         op, _, _ = _op(prof, OperatorKind.SCALAR_LAPLACIAN)
         ones = np.ones(op.size)
         resid = np.max(np.abs(op.matvec(ones)))
-        assert resid <= 1e-12 * np.max(op.diag)
+        assert resid <= 1e-12 * np.max(op.cond)
 
 
 def test_round_vector_eigenvalue(round_n2):
@@ -64,7 +82,7 @@ def test_round_scalar_mu1(round_n3):
     # W-orthogonal to constants
     grid = res.eigenfunction.grid
     geom = orbit_geometry(round_n3, grid)
-    mean = float(np.sum(res.eigenfunction.interior
+    mean = float(np.sum(grid.retained(res.eigenfunction.values)
                         * geom.w_interior)) * grid.dx
     assert abs(mean) <= 1e-8
 
@@ -76,9 +94,15 @@ def test_rayleigh_consistency(round_n2, bump01_n2, periodic_n3):
         for kind in OperatorKind:
             res = solve_smallest(prof, kind, 512)
             op, grid, _ = _op(prof, kind, 512)
-            x = res.eigenfunction.interior
-            num = fields.difference_form(fields.cell_diffs(x, grid), op.cond,
-                                         x, op.potential)
+            v = res.eigenfunction.values
+            # cell differences: cyclic on a circle, else across the
+            # stored (zero or extended) pole values, whose cells a
+            # Neumann operator does not conduct through
+            d = np.diff(np.append(v, v[0]) if prof is periodic_n3 else v)
+            x = grid.retained(v)
+            num = np.sum(op.cond * d * d)
+            if op.potential is not None:
+                num += np.sum(op.potential * x * x)
             den = float(np.sum(x * op.weight * x))
             assert res.lam == pytest.approx(num / den, rel=1e-12)
 
@@ -86,12 +110,12 @@ def test_rayleigh_consistency(round_n2, bump01_n2, periodic_n3):
 def test_residual_certificate(bump01_n2):
     op, _, _ = _op(bump01_n2, OperatorKind.ROUGH_VECTOR, 1024)
     res = smallest_eigenpair(op, tol=1e-8)
-    x = res.eigenfunction.interior
+    x = op.grid.retained(res.eigenfunction.values)
     r = op.matvec(x) - res.lam * op.weight * x
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(op.weight * x)
     # the reported residual is the normwise backward error, here
-    # recomputed from the tridiagonal entries with the exact 2-norm
-    K = (np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1))
+    # recomputed from the dense K with the exact 2-norm
+    K = _dense(op)
     r = K @ x - res.lam * op.weight * x
     eta = np.linalg.norm(r) / ((np.linalg.norm(K, 2) + abs(res.lam)
                                 * np.max(op.weight)) * np.linalg.norm(x))
@@ -111,12 +135,10 @@ _FINE_PROFILES = {
 def test_solvers_converge_on_fine_grids(name, N):
     spec = dict(_FINE_PROFILES[name])
     prof = make_preset(spec.pop("family"), **spec)
-    grid = grid_for(prof, N)
-    geom = orbit_geometry(prof, grid)
-    vec = smallest_eigenpair(
-        assemble(OperatorKind.ROUGH_VECTOR, prof, geom, grid))
+    geom = orbit_geometry(prof, grid_for(prof, N))
+    vec = smallest_eigenpair(assemble(OperatorKind.ROUGH_VECTOR, geom))
     scal = first_nonzero_scalar_eigenvalue(
-        assemble(OperatorKind.SCALAR_LAPLACIAN, prof, geom, grid))
+        assemble(OperatorKind.SCALAR_LAPLACIAN, geom))
     for res in (vec, scal):
         assert res.residual <= 1e-14
         assert 0 < res.iterations < 50
@@ -139,8 +161,8 @@ def test_coarse_start_matches_seed(name, n, kind, N):
     half = geom.restrict()
     solve = (smallest_eigenpair if kind is OperatorKind.ROUGH_VECTOR
              else first_nonzero_scalar_eigenvalue)
-    start = solve(assemble(kind, prof, half, half.grid)).eigenfunction
-    op = assemble(kind, prof, geom, geom.grid)
+    start = solve(assemble(kind, half)).eigenfunction
+    op = assemble(kind, geom)
     warm, cold = solve(op, start=start), solve(op)
     assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
     assert max(warm.residual, cold.residual) <= 1e-15
@@ -217,7 +239,7 @@ def test_eigenvalue_normalization(round_n2):
     res = solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 512)
     grid = res.eigenfunction.grid
     geom = orbit_geometry(round_n2, grid)
-    fi = res.eigenfunction.interior
+    fi = grid.retained(res.eigenfunction.values)
     assert float(np.sum(fi * fi * geom.w_interior) * grid.dx) \
         == pytest.approx(1.0, rel=1e-12)
     nz = fi[np.abs(fi) > 1e-12 * np.max(np.abs(fi))]
@@ -312,7 +334,7 @@ def test_eigenfunction_matches_sine(round_n2):
     res = solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 2048)
     grid = res.eigenfunction.grid
     geom = orbit_geometry(round_n2, grid)
-    fi = res.eigenfunction.interior
+    fi = grid.retained(res.eigenfunction.values)
     ti = np.sin(grid.interior)
     c = float(np.sum(fi * ti * geom.w_interior)
               / np.sum(ti * ti * geom.w_interior))
