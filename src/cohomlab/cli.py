@@ -1,12 +1,12 @@
 """Command-line interface: geometry, spectrum, verify, sweep, converge.
 
-Configs are JSON (schema: n, topology, preset, grid, optional solver /
-sweep / converge sections).  Outputs are deterministic: JSON uses
-sorted keys and shortest round-trip floats, CSV uses comma delimiter,
-header row and LF endings, and solver seeds are fixed, so identical
-configs give byte-identical files.  Machine-readable output goes to
-stdout unless --out is given; a short human summary always goes to
-stderr.
+Configs are JSON (keys n, topology, preset, grid, optional solver /
+sweep / converge sections; any other key is refused).  Outputs are
+deterministic: JSON uses sorted keys and shortest round-trip floats,
+CSV uses comma delimiter, header row and LF endings, and solver seeds
+are fixed, so identical configs give byte-identical files.
+Machine-readable output goes to stdout unless --out is given; a short
+human summary always goes to stderr.
 
 Exit codes: 0 success (including HypothesisNotMet verdicts), 1 bound
 violation (verify only), 2 config/IO/solver/out-of-memory errors
@@ -28,45 +28,28 @@ from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (DEFAULT_TOL, ConvergenceError, OperatorKind,
                        convergence_study, solve_smallest)
-from .warp import (MIN_GRID, _cfg_bool, _cfg_int, _cfg_list, _cfg_real,
-                   profile_from_config)
+from .warp import (MIN_GRID, _cfg_bool, _cfg_int, _cfg_list, _cfg_object,
+                   _cfg_real, profile_from_config)
 
-
-def canonical_config_text(cfg) -> str:
-    """Canonical JSON form: sorted keys, 17-significant-digit floats.
-
-    Canonicalization is idempotent, so configs round-trip through this
-    form byte-identically.
-    """
-    def enc(o):
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, dict):
-            items = (f"{json.dumps(str(k))}: {enc(o[k])}" for k in sorted(o))
-            return "{" + ", ".join(items) + "}"
-        if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(enc(v) for v in o) + "]"
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            return format(o, ".17g")
-        if isinstance(o, str):
-            return json.dumps(o)
-        if o is None:
-            return "null"
-        raise TypeError(f"non-serializable config entry {o!r}")
-
-    return enc(cfg) + "\n"
+# keys of the optional sections (profile_from_config checks the rest)
+SECTION_KEYS = {"solver": ("tol", "richardson"),
+                "sweep": ("param", "values", "start", "stop", "step"),
+                "converge": ("grids",)}
 
 
 def _load_config(path: str) -> dict:
+    """The config at path, refused if it has a key outside the schema."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
+    _cfg_object(cfg, "", ("n", "topology", "preset", "grid", *SECTION_KEYS))
+    for key, known in SECTION_KEYS.items():
+        _cfg_object(cfg.get(key, {}), f"{key}.", known)
+    return cfg
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -93,27 +76,27 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _section(cfg: dict, key: str) -> dict:
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(
-            f"config path '{key}': expected an object, got {section!r}")
-    return section
-
-
 def _positive(tol: float, where: str) -> float:
     if not 0 < tol < math.inf:
         raise ValueError(f"{where}: expected a positive number, got {tol!r}")
     return tol
 
 
+def _half_grid(N: int, where: str) -> int:
+    """N, refused naming where it came from unless the N / 2 grid exists."""
+    if N % 2 or N < 2 * MIN_GRID:
+        raise ValueError(f"{where}: the half grid needs an even N >= "
+                         f"{2 * MIN_GRID}, got {N}")
+    return N
+
+
 def _solver_opts(cfg: dict, args) -> tuple:
-    solver = _section(cfg, "solver")
+    solver = cfg.get("solver", {})
     tol = _positive(_cfg_real(solver.get("tol", DEFAULT_TOL), "solver.tol"),
                     "config path 'solver.tol'")
     richardson = _cfg_bool(solver.get("richardson", False),
                            "solver.richardson")
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         tol = _positive(args.tol, "option '--tol'")
     return tol, richardson or getattr(args, "richardson", False)
 
@@ -154,6 +137,9 @@ def _cmd_spectrum(args) -> int:
                          f"{MIN_GRID}, got {args.grid}")
     N = grid.N if args.grid is None else args.grid
     tol, richardson = _solver_opts(cfg, args)
+    if richardson:
+        _half_grid(N, "config path 'grid.N'" if args.grid is None
+                   else "option '--grid'")
     kind = (OperatorKind.SCALAR_LAPLACIAN if args.kind == "scalar"
             else OperatorKind.ROUGH_VECTOR)
     result = solve_smallest(profile, kind, N, tol=tol, richardson=richardson)
@@ -188,7 +174,8 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     profile, grid = profile_from_config(cfg)
     tol, _ = _solver_opts(cfg, args)
-    rep = check_bound(profile, N=grid.N, tol=tol)
+    rep = check_bound(profile, N=_half_grid(grid.N, "config path 'grid.N'"),
+                      tol=tol)
     _emit_json(_report_payload(rep), args.out)
     _say(f"verify {profile.preset_tag}: verdict={rep.verdict.value} "
          f"gap={rep.gap:.6g} (tol_disc={rep.tol_disc:.2g})")
@@ -214,14 +201,15 @@ def _sweep_values(section: dict) -> list:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     profile, grid = profile_from_config(cfg)
-    section = _section(cfg, "sweep")
+    section = cfg.get("sweep", {})
     values = _sweep_values(section)
     param = section.get("param")
     if not isinstance(param, (str, type(None))):
         raise ValueError(f"config path 'sweep.param': expected a parameter "
                          f"name, got {param!r}")
     tol, _ = _solver_opts(cfg, args)
-    rows = run_sweep(profile.preset, values, n=profile.n, N=grid.N, tol=tol,
+    rows = run_sweep(profile.preset, values, n=profile.n,
+                     N=_half_grid(grid.N, "config path 'grid.N'"), tol=tol,
                      param=param, base_params=dict(profile.params))
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
@@ -239,7 +227,7 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     profile, _ = profile_from_config(cfg)
     tol, _ = _solver_opts(cfg, args)
-    grids = _cfg_list(_section(cfg, "converge").get("grids", []),
+    grids = _cfg_list(cfg.get("converge", {}).get("grids", []),
                       "converge.grids", _cfg_int)
     if args.grids:
         try:
@@ -276,6 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="write JSON/CSV here instead of stdout")
+
+    def solving(p):
+        common(p)
         p.add_argument("--tol", type=float,
                        help="stop once the eigenvalue changes by at most "
                             "tol * |lambda| per step (default 1e-12)")
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geometry)
 
     p = sub.add_parser("spectrum", help="extremal eigenvalue")
-    common(p)
+    solving(p)
     p.add_argument("--kind", choices=["vector", "scalar"], default="vector")
     p.add_argument("--grid", type=int, help="override grid N")
     p.add_argument("--richardson", action="store_true",
@@ -295,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the bound check with verdict")
-    common(p)
+    solving(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="bound check across a preset family")
-    common(p)
+    solving(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("converge", help="grid convergence study")
-    common(p)
+    solving(p)
     p.add_argument("--kind", choices=["vector", "scalar"], default="vector")
     p.add_argument("--grids", help="comma-separated grid sizes")
     p.set_defaults(func=_cmd_converge)

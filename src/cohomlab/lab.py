@@ -27,8 +27,8 @@ from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
 from .spectral import DEFAULT_TOL, OperatorKind, _coarse_to_fine, _solve
-from .warp import (RadialGrid, WarpProfile, ensure_usable, grid_for,
-                   lookup_preset, make_preset)
+from .warp import (MIN_GRID, RadialGrid, WarpProfile, ensure_usable,
+                   grid_for, lookup_preset, make_preset)
 
 RIGID_FLOOR = 1e-4
 DISC_FLOOR = 1e-8
@@ -132,19 +132,16 @@ def rigidity_diagnostics(minimizer: InvariantField,
 
 
 def check_bound(profile: WarpProfile, N: int = 2048,
-                tol: float = DEFAULT_TOL,
-                tol_disc: Optional[float] = None) -> TheoremReport:
+                tol: float = DEFAULT_TOL) -> TheoremReport:
     """Run the bound lambda_min >= kappa2 as an experiment with verdict.
 
-    tol_disc defaults to the grid-doubling eigenvalue difference
-    |lambda_N - lambda_{N/2}| floored at 1e-8; pass a value to override
-    (the N/2 solve is then skipped).
+    tol_disc is the grid-doubling difference |lambda_N - lambda_{N/2}|
+    floored at 1e-8, so an odd N raises ValueError before any solve.
     """
     ensure_usable(profile)
     lams, fine, geom = _coarse_to_fine(profile, OperatorKind.ROUGH_VECTOR,
-                                       N, tol, 2 if tol_disc is None else 1)
-    if tol_disc is None:
-        tol_disc = max(DISC_FLOOR, abs(lams[1] - lams[0]))
+                                       N, tol, 2)
+    tol_disc = max(DISC_FLOOR, abs(lams[1] - lams[0]))
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
@@ -252,7 +249,8 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     """check_bound across a preset family; one row per parameter value.
 
     param (default: the family's sweep_param) and base_params are
-    checked against warp.PRESETS before any row runs.  A failing row
+    checked against warp.PRESETS, and N is refused unless check_bound's
+    half grid exists (even N >= 32), before any row runs.  A failing row
     carries its error message instead of aborting the sweep.
     obata_defect is |mu1 - n*kappa2| (well-defined for any sign of kappa2).
     """
@@ -260,6 +258,9 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     param = preset.sweep_param if param is None else param
     base = dict(base_params or {})
     preset.check([param, *base])
+    if N % 2 or N < 2 * MIN_GRID:
+        raise ValueError(f"the half grid needs an even N >= {2 * MIN_GRID}, "
+                         f"got {N}")
 
     def run(value: float) -> SweepRow:
         try:

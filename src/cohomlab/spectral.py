@@ -418,7 +418,12 @@ def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
     """(eigenvalues coarse to fine, result at N, geometry at N) on the
     grids N / 2^(levels-1), ..., N / 2, N, each solve started from the
     eigenfunction of the one before (nested iteration).  The profile is
-    evaluated on grid N only; coarser geometries are restricted."""
+    evaluated on grid N only; coarser geometries are restricted, so an N
+    that cannot be halved levels - 1 times is refused before that."""
+    if N % 2 ** (levels - 1):
+        raise ValueError(f"the half grids need N divisible by "
+                         f"{2 ** (levels - 1)} (even at every halving), "
+                         f"got {N}")
     geoms = [orbit_geometry(profile, grid_for(profile, N))]
     while len(geoms) < levels:
         geoms.append(geoms[-1].restrict())

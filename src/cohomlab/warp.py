@@ -10,6 +10,7 @@ seam.  Profiles are immutable and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,11 @@ class WarpProfile:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         if not self.L > 0:
             raise ValueError(f"domain length must be positive, got {self.L}")
+
+    @functools.cached_property
+    def validation(self) -> "ValidationReport":
+        """validate(self), run on first use and kept with the profile."""
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -282,7 +288,7 @@ def _fd1(fn, r, h):
     return (fn(r + h) - fn(r - h)) / (2.0 * h)
 
 
-def validate(profile: WarpProfile, samples: int = 512) -> ValidationReport:
+def validate(profile: WarpProfile) -> ValidationReport:
     """Run positivity, closure and derivative-consistency checks.
 
     Report-valued: failures never raise here.  Downstream operations
@@ -291,6 +297,7 @@ def validate(profile: WarpProfile, samples: int = 512) -> ValidationReport:
     L, tol = profile.L, profile.closure_tol
     checks = []
 
+    samples = 512  # interior points at which phi > 0 is checked
     rs = (np.arange(1, samples) / samples) * L
     vals = np.asarray(profile.phi(rs), float)
     bad = np.where(~(vals > 0))[0]
@@ -333,19 +340,9 @@ def validate(profile: WarpProfile, samples: int = 512) -> ValidationReport:
     return ValidationReport(profile_tag=profile.preset_tag, checks=tuple(checks))
 
 
-_VALIDATION_CACHE: dict = {}
-
-
 def ensure_usable(profile: WarpProfile) -> None:
-    """Raise if the profile fails validation (cached per instance)."""
-    key = id(profile)
-    report = _VALIDATION_CACHE.get(key)
-    if report is None or report[0] is not profile:
-        report = (profile, validate(profile))
-        if len(_VALIDATION_CACHE) > 256:
-            _VALIDATION_CACHE.clear()
-        _VALIDATION_CACHE[key] = report
-    rep = report[1]
+    """Raise ValueError unless profile.validation (run once) is usable."""
+    rep = profile.validation
     if not rep.usable:
         names = ", ".join(c.name for c in rep.failures())
         raise ValueError(
@@ -358,11 +355,20 @@ def ensure_usable(profile: WarpProfile) -> None:
 #  "preset": {"type": <a PRESETS name>|"samples", <its parameters>},
 #  "grid": {"N": int}}
 
-def _cfg_get(cfg: dict, key: str, path: str):
+def _cfg_object(cfg, path: str, known=None) -> dict:
+    """cfg, refused unless an object with no key outside known (if given)."""
     if not isinstance(cfg, dict):
         where = f"config path '{path[:-1]}'" if path else "config"
         raise ValueError(f"{where}: expected an object, got {cfg!r}")
-    if key not in cfg:
+    unknown = [k for k in cfg if known is not None and k not in known]
+    if unknown:
+        raise ValueError(f"config path '{path}{unknown[0]}': unknown key "
+                         f"(known: {', '.join(known)})")
+    return cfg
+
+
+def _cfg_get(cfg: dict, key: str, path: str):
+    if key not in _cfg_object(cfg, path):
         raise ValueError(f"config path '{path}{key}': missing")
     return cfg[key]
 
@@ -411,11 +417,7 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
     ptype = _cfg_get(preset, "type", "preset.")
 
     if ptype == "samples":
-        for key in preset:
-            if key not in ("type", "r", "phi"):
-                raise ValueError(
-                    f"config path 'preset.{key}': preset 'samples' has no "
-                    f"parameter {key!r} (it takes r, phi)")
+        _cfg_object(preset, "preset.", ("type", "r", "phi"))
         prof = profile_from_samples(
             _cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
             _cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
@@ -435,7 +437,7 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
                          else preset.get(p, default), f"preset.{p}")
             for p, default in entry.defaults.items()})
 
-    grid_cfg = _cfg_get(cfg, "grid", "")
+    grid_cfg = _cfg_object(_cfg_get(cfg, "grid", ""), "grid.", ("N",))
     N = _cfg_int(_cfg_get(grid_cfg, "N", "grid."), "grid.N")
     return prof, grid_for(prof, N)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomlab.cli import canonical_config_text, main
+from cohomlab.cli import main
 from cohomlab.lab import RigidityDiagnostics, TheoremReport, Verdict
 
 
@@ -121,6 +121,14 @@ def test_geometry_json_and_csv(round_cfg, tmp_path, capsys):
     assert header == "r,phi,H,B2,w,ric_radial,ric_tangential"
 
 
+def test_geometry_takes_no_tol(round_cfg, capsys):
+    # geometry solves nothing, so a --tol there is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "--config", round_cfg, "--tol", "-1"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_sweep_csv_schema(periodic_cfg, capsys):
     code = main(["sweep", "--config", periodic_cfg])
     out = capsys.readouterr().out
@@ -209,13 +217,29 @@ _SWEEP = {"values": [1.0]}
     ("converge --grids 256,x", {}, "--grids"),
     ("converge --grids 8,16,32", {}, "--grids"),
     ("spectrum --grid 8", {}, "--grid"),
+    ("verify", {"sovler": {"tol": 1e-3}}, "sovler"),
+    ("verify", {"grid": {"N": 64, "n": 64}}, "grid.n"),
+    ("verify", {"solver": {"tolerance": 1e-3}}, "solver.tolerance"),
+    ("sweep", {"sweep": {"parameter": "k", **_SWEEP}}, "sweep.parameter"),
+    ("converge", {"converge": {"grid": [64, 128, 256]}}, "converge.grid"),
+    ("verify", {"grid": {"N": 65}}, "grid.N"),
+    ("verify", {"grid": {"N": 18}}, "grid.N"),
+    ("sweep", {"grid": {"N": 65}, "sweep": _SWEEP}, "grid.N"),
+    ("spectrum --richardson", {"grid": {"N": 65}}, "grid.N"),
+    ("spectrum --grid 129 --richardson", {}, "--grid"),
+    ("verify", {"sweep": {"vals": [1.0]}}, "sweep.vals"),
 ], ids=["null", "string", "samples-stray-key", "solver-tol-null",
         "solver-not-object", "richardson-string", "sweep-values-null",
         "sweep-start-null", "sweep-param-list", "sweep-tol-nan",
         "converge-grids-null", "converge-grids-string",
         "converge-not-object", "solver-tol-negative",
         "solver-tol-zero-under-flag", "tol-flag-negative", "tol-flag-nan",
-        "grids-flag-string", "grids-flag-small", "grid-flag-small"])
+        "grids-flag-string", "grids-flag-small", "grid-flag-small",
+        "unknown-top-key", "unknown-grid-key", "unknown-solver-key",
+        "unknown-sweep-key", "unknown-converge-key", "verify-odd-N",
+        "verify-half-grid-too-small", "sweep-odd-N",
+        "richardson-odd-config-N", "richardson-odd-grid-flag",
+        "unknown-key-in-unread-section"])
 def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
                                      path):
     # every bad config value or flag exits 2 with one line of error JSON
@@ -241,15 +265,6 @@ def test_outputs_are_byte_identical(round_cfg, tmp_path, capsys):
     out = capsys.readouterr().out
     assert a.read_bytes() == b.read_bytes()
     assert out == ""  # nothing on stdout when --out given
-
-
-def test_canonical_config_idempotent(periodic_cfg):
-    cfg = json.load(open(periodic_cfg))
-    text = canonical_config_text(cfg)
-    again = canonical_config_text(json.loads(text))
-    assert text == again
-    assert '"a": 0.29999999999999999' in text  # 17 significant digits
-    assert text.index('"grid"') < text.index('"preset"')  # sorted keys
 
 
 @pytest.mark.parametrize("drop, topology, named", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import spectral
+from cohomlab import lab, spectral
 from cohomlab import (OperatorKind, Verdict, assemble, check_bound, grid_for,
                       make_preset, obata_check, orbit_geometry,
                       rigidity_diagnostics, smallest_eigenpair, sweep)
@@ -55,28 +55,27 @@ def test_bound_holds_definition(bump01_n2):
     assert rep.tol_disc >= 1e-8
 
 
-def test_check_bound_needs_even_grid(round_n2):
-    # the doubling test needs the half grid; an explicit tol_disc skips
-    # the N/2 solve, and then an odd N is fine
+def test_check_bound_needs_even_grid(round_n2, monkeypatch):
+    # the doubling test needs the half grid, so an odd N is refused
+    # before the profile is evaluated on any grid
+    calls = []
+    geometry = spectral.orbit_geometry
+    monkeypatch.setattr(spectral, "orbit_geometry",
+                        lambda *a: calls.append(a) or geometry(*a))
     with pytest.raises(ValueError, match="even"):
         check_bound(round_n2, N=333)
-    rep = check_bound(round_n2, N=333, tol_disc=1e-6)
-    assert rep.grid_N == 333 and rep.tol_disc == 1e-6
+    assert calls == []
 
 
-@pytest.mark.parametrize("tol_disc", [1e-6, 3e-5])
-def test_check_bound_explicit_tol_disc(bump01_n2, tol_disc, monkeypatch):
-    default = check_bound(bump01_n2, N=1024)
-    grids = []
-    iterate = spectral._inverse_iterate
-    monkeypatch.setattr(spectral, "_inverse_iterate",
-                        lambda op, *a, **k: grids.append(op.grid.N)
-                        or iterate(op, *a, **k))
-    rep = check_bound(bump01_n2, N=1024, tol_disc=tol_disc)
-    assert grids == [1024, 1024]  # vector and scalar; no N/2 solve
-    assert rep.tol_disc == tol_disc
-    assert rep.tol_rigid == max(1e-4, 10 * tol_disc)
-    assert rep.lambda_min == pytest.approx(default.lambda_min, rel=1e-12)
+@pytest.mark.parametrize("N", [1025, 18])
+def test_sweep_refuses_grid_without_half_grid_before_any_row(monkeypatch, N):
+    # 1025 is odd; 18 halves to 9, below the smallest grid
+    calls = []
+    monkeypatch.setattr(lab, "check_bound",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=f"even N >= 32, got {N}"):
+        sweep("Bump", [0.0, 0.1], n=2, N=N)
+    assert calls == []
 
 
 def test_rigidity_residuals_vanish_on_round(round_n3):

@@ -1,13 +1,16 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import (Topology, bump_profile, ensure_usable, grid_for,
-                      make_preset, periodic_product_profile,
+from cohomlab import warp
+from cohomlab import (Topology, bump_profile, check_bound, ensure_usable,
+                      grid_for, make_preset, periodic_product_profile,
                       profile_from_config, profile_from_samples,
                       profile_to_config, round_profile, validate)
 from cohomlab.warp import ANALYTIC_CLOSURE_TOL, MIN_GRID
@@ -155,7 +158,21 @@ def test_config_accepts_samples():
     assert g.N == 128
 
 
-def test_validation_is_cached():
+def test_validation_is_cached(monkeypatch):
+    # validate runs once per profile, and the report it leaves on the
+    # profile does not keep the profile alive
+    calls = []
+    run = warp.validate
+    monkeypatch.setattr(warp, "validate",
+                        lambda profile: calls.append(profile) or run(profile))
     p = round_profile(k=1.0, n=4)
-    ensure_usable(p)
-    ensure_usable(p)  # second call hits the id-keyed cache
+    check_bound(p, N=64)
+    check_bound(p, N=64)
+    q = round_profile(k=1.0, n=4)
+    ensure_usable(q)
+    assert calls == [p, q]
+    ref = weakref.ref(p)
+    calls.clear()
+    del p
+    gc.collect()
+    assert ref() is None
