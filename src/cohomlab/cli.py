@@ -28,8 +28,8 @@ from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (DEFAULT_TOL, ConvergenceError, OperatorKind,
                        convergence_study, solve_smallest)
-from .warp import (MIN_GRID, _cfg_bool, _cfg_int, _cfg_list, _cfg_object,
-                   _cfg_real, profile_from_config)
+from .warp import (MIN_GRID, RadialGrid, _cfg_bool, _cfg_int, _cfg_list,
+                   _cfg_object, _cfg_real, profile_from_config)
 
 # keys of the optional sections (profile_from_config checks the rest)
 SECTION_KEYS = {"solver": ("tol", "richardson"),
@@ -83,11 +83,11 @@ def _positive(tol: float, where: str) -> float:
 
 
 def _half_grid(N: int, where: str) -> int:
-    """N, refused naming where it came from unless the N / 2 grid exists."""
-    if N % 2 or N < 2 * MIN_GRID:
-        raise ValueError(f"{where}: the half grid needs an even N >= "
-                         f"{2 * MIN_GRID}, got {N}")
-    return N
+    """RadialGrid.halvable(N), its refusal prefixed with where N came from."""
+    try:
+        return RadialGrid.halvable(N)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _solver_opts(cfg: dict, args) -> tuple:
@@ -194,8 +194,10 @@ def _sweep_values(section: dict) -> list:
             f"or start/stop/step)") from None
     if step <= 0 or stop < start:
         raise ValueError("config path 'sweep': need step > 0, stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"config path 'sweep.step': too small, got {step!r}")
+    return [start + i * step for i in range(int(steps + 1e-9) + 1)]
 
 
 def _cmd_sweep(args) -> int:

@@ -4,9 +4,9 @@ functional and pointwise identities connecting them.
 Smooth closure at a sphere-like pole forces a parity on radial
 profiles: an invariant function h extends evenly across the pole
 (h'(0) = h'(L) = 0) while the profile f of an invariant field extends
-oddly (f vanishes there).  Endpoint derivative stencils use exactly
-these parities; interior stencils are centered, so everything is
-O(dx^2).
+oddly (f vanishes there).  Derivatives are centered stencils over
+RadialGrid.ghosted, which continues values past the poles with exactly
+these parities, so everything is O(dx^2).
 
 Integrals are trapezoidal against the volume weight w = phi^{n-1};
 the weight vanishes at sphere-like poles, so the singular endpoints
@@ -23,8 +23,14 @@ from .geometry import OrbitGeometry, RicciProfile
 from .warp import RadialGrid, Topology
 
 
-def _full_length(grid: RadialGrid) -> int:
-    return grid.N if grid.topology is Topology.PERIODIC else grid.N + 1
+def _nodal(values, grid: RadialGrid, what: str) -> np.ndarray:
+    """values as floats, refused unless there is one per stored node."""
+    v = np.asarray(values, float)
+    size = grid.N if grid.topology is Topology.PERIODIC else grid.N + 1
+    if v.shape != (size,):
+        raise ValueError(
+            f"{what} needs {size} nodal values, got shape {v.shape}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,7 @@ class InvariantField:
     grid: RadialGrid
 
     def __post_init__(self):
-        v = np.asarray(self.values, float)
-        if v.shape != (_full_length(self.grid),):
-            raise ValueError(
-                f"field needs {_full_length(self.grid)} nodal values, "
-                f"got shape {v.shape}")
+        v = _nodal(self.values, self.grid, "field")
         if self.grid.topology is Topology.SPHERE_LIKE:
             scale = float(np.max(np.abs(v))) or 1.0
             if max(abs(v[0]), abs(v[-1])) > 1e-12 * scale:
@@ -62,11 +64,7 @@ class InvariantFunction:
     grid: RadialGrid
 
     def __post_init__(self):
-        v = np.asarray(self.values, float)
-        if v.shape != (_full_length(self.grid),):
-            raise ValueError(
-                f"function needs {_full_length(self.grid)} nodal values, "
-                f"got shape {v.shape}")
+        v = _nodal(self.values, self.grid, "function")
         if self.grid.topology is Topology.SPHERE_LIKE:
             # smoothness surrogate: one-sided slope at the poles must be
             # small (an even extension has h'(0) = h'(L) = 0); the
@@ -84,46 +82,19 @@ class InvariantFunction:
 
 
 def derivative(values: np.ndarray, grid: RadialGrid, parity: str) -> np.ndarray:
-    """Centered d/dr with parity-correct sphere-like endpoints.
-
-    parity 'odd' means values extend as v(-r) = -v(r) across each pole
-    (profiles of fields); 'even' means v(-r) = v(r) (functions), whose
-    derivative at a pole vanishes identically.
-    """
-    v = np.asarray(values, float)
-    dx = grid.dx
-    if grid.topology is Topology.PERIODIC:
-        return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    if parity == "odd":
-        out[0] = v[1] / dx
-        out[-1] = -v[-2] / dx
-    elif parity == "even":
-        out[0] = 0.0
-        out[-1] = 0.0
-    else:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    return out
+    """Centered d/dr over grid.ghosted(values, parity): 'odd' for
+    profiles of fields, 'even' for functions (zero slope at a pole)."""
+    e = grid.ghosted(values, parity)
+    # nodes 0..N; a circle stores no node N (the seam, node 0 again)
+    return (e[2:] - e[:-2])[:np.size(values)] / (2.0 * grid.dx)
 
 
 def second_derivative(values: np.ndarray, grid: RadialGrid,
                       parity: str) -> np.ndarray:
-    v = np.asarray(values, float)
+    """Centered d^2/dr^2 over grid.ghosted(values, parity)."""
+    e = grid.ghosted(values, parity)
     dx = grid.dx
-    if grid.topology is Topology.PERIODIC:
-        return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (dx * dx)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    if parity == "odd":
-        out[0] = 0.0
-        out[-1] = 0.0
-    elif parity == "even":
-        out[0] = 2.0 * (v[1] - v[0]) / (dx * dx)
-        out[-1] = 2.0 * (v[-2] - v[-1]) / (dx * dx)
-    else:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    return out
+    return (e[2:] - 2.0 * e[1:-1] + e[:-2])[:np.size(values)] / (dx * dx)
 
 
 def weighted_integral(values_interior: np.ndarray, geom: OrbitGeometry) -> float:
@@ -192,14 +163,13 @@ def reconstruct_potential(field: InvariantField) -> InvariantFunction:
     f = field.values
     grid = field.grid
     dx = grid.dx
-    y = f
     if grid.topology is Topology.PERIODIC:
         total = float(np.sum(f) * dx)
         scale = float(np.max(np.abs(f))) * grid.L or 1.0
         if abs(total) > 1e-10 * scale:
             raise ValueError(
                 f"non-exact field: integral over the period is {total:.3g}")
-        y = np.concatenate([f, f[:1]])  # close the loop at the seam
+    y = grid.ghosted(f, "odd")[1:-1]  # nodes 0..N: closes a circle's seam
     # scipy's cumulative_trapezoid expression, so results are bit-identical
     h = np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
     return InvariantFunction(values=h[:f.size], grid=grid)

@@ -12,7 +12,7 @@ products and every reported residual unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,12 @@ class OrbitGeometry:
         even nodes here and its midpoints the odd ones, so this equals
         orbit_geometry on the half grid bit for bit."""
         grid = self.grid
-        if grid.N % 2:
-            raise ValueError(f"the half grid needs an even N, got {grid.N}")
         # retained arrays start at node 0 (periodic) or node 1 (poles
         # dropped); either way the even nodes are every other entry
         even = slice(0 if grid.topology is Topology.PERIODIC else 1, None, 2)
         return OrbitGeometry(H=self.H[even], B2=self.B2[even],
                              w=self.w[::2], w_mid=self.w[1::2],
-                             grid=replace(grid, N=grid.N // 2), n=self.n)
+                             grid=grid.half(), n=self.n)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
 from .spectral import DEFAULT_TOL, OperatorKind, _coarse_to_fine, _solve
-from .warp import (MIN_GRID, RadialGrid, WarpProfile, ensure_usable,
+from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
 RIGID_FLOOR = 1e-4
@@ -136,7 +136,9 @@ def check_bound(profile: WarpProfile, N: int = 2048,
     """Run the bound lambda_min >= kappa2 as an experiment with verdict.
 
     tol_disc is the grid-doubling difference |lambda_N - lambda_{N/2}|
-    floored at 1e-8, so an odd N raises ValueError before any solve.
+    floored at 1e-8, so an N without a half grid (odd, or below
+    2 * MIN_GRID = 32) raises ValueError naming that N before the
+    profile is evaluated on any grid.
     """
     ensure_usable(profile)
     lams, fine, geom = _coarse_to_fine(profile, OperatorKind.ROUGH_VECTOR,
@@ -258,9 +260,7 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     param = preset.sweep_param if param is None else param
     base = dict(base_params or {})
     preset.check([param, *base])
-    if N % 2 or N < 2 * MIN_GRID:
-        raise ValueError(f"the half grid needs an even N >= {2 * MIN_GRID}, "
-                         f"got {N}")
+    RadialGrid.halvable(N)
 
     def run(value: float) -> SweepRow:
         try:

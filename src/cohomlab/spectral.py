@@ -243,36 +243,23 @@ def _factor(op: DiscreteOperator, sigma: float):
 
 def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
     """Deterministic start: the 4-point cubic interpolant of start (an
-    eigenfunction on the half grid) if given, else sin(pi r / L) for
-    the Dirichlet vector problem, the lowest cosine for the first
-    nonzero scalar mode (one half-wave on a sphere-like grid, one full
-    wave on a circle) and the constant vector otherwise."""
+    eigenfunction on the half grid) if given, else the grid's lowest
+    mode, nonconstant when deflating (fields odd, functions even)."""
     grid = op.grid
-    if start is not None:
-        if replace(start.grid, N=2 * start.grid.N) != grid:
-            raise ValueError("start must be an eigenfunction on the half grid")
-        # even nodes are the half grid's; each odd one is the cubic
-        # (-v[j-1] + 9 v[j] + 9 v[j+1] - v[j+2]) / 16 through the four
-        # nearest, with a ghost node past each end: cyclic on a circle,
-        # else the pole reflection (odd for fields, even for functions)
-        v = start.values
-        if op._periodic:
-            ext = np.concatenate((v[-1:], v, v[:2]))
-        else:
-            s = -1.0 if op.kind is OperatorKind.ROUGH_VECTOR else 1.0
-            ext = np.concatenate(((s * v[1],), v, (s * v[-2],)))
-        mid = (9.0 * (ext[1:-2] + ext[2:-1]) - ext[:-3] - ext[3:]) / 16.0
-        x = np.empty(v.size + mid.size)
-        x[::2] = v
-        x[1::2] = mid
-        return grid.retained(x)
-    r = grid.interior
-    if deflate_constants:
-        period = 1.0 if grid.topology is Topology.SPHERE_LIKE else 2.0
-        return np.cos(period * math.pi * r / grid.L)
-    if op.kind is OperatorKind.ROUGH_VECTOR and not op._periodic:
-        return np.sin(math.pi * r / grid.L)
-    return np.ones(op.size)
+    parity = "odd" if op.kind is OperatorKind.ROUGH_VECTOR else "even"
+    if start is None:
+        return grid.lowest_mode(parity, nonconstant=deflate_constants)
+    if start.grid != grid.half():
+        raise ValueError("start must be an eigenfunction on the half grid")
+    # even nodes are the half grid's, each odd one the cubic (-v[j-1] +
+    # 9 v[j] + 9 v[j+1] - v[j+2]) / 16 through the nearest four, ghosted
+    v = start.values
+    ext = start.grid.ghosted(v, parity)
+    mid = (9.0 * (ext[1:-2] + ext[2:-1]) - ext[:-3] - ext[3:]) / 16.0
+    x = np.empty(v.size + mid.size)
+    x[::2] = v
+    x[1::2] = mid
+    return grid.retained(x)
 
 
 def _fix_sign(x: np.ndarray) -> None:
@@ -420,10 +407,7 @@ def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
     eigenfunction of the one before (nested iteration).  The profile is
     evaluated on grid N only; coarser geometries are restricted, so an N
     that cannot be halved levels - 1 times is refused before that."""
-    if N % 2 ** (levels - 1):
-        raise ValueError(f"the half grids need N divisible by "
-                         f"{2 ** (levels - 1)} (even at every halving), "
-                         f"got {N}")
+    RadialGrid.halvable(N, levels - 1)
     geoms = [orbit_geometry(profile, grid_for(profile, N))]
     while len(geoms) < levels:
         geoms.append(geoms[-1].restrict())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -63,7 +63,8 @@ class WarpProfile:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform nodes r_i = i * (L / N), i = 0..N."""
+    """Uniform nodes r_i = i * (L / N), i = 0..N, and their edge rules:
+    retained nodes, ghost nodes past a pole or the seam, halvable N."""
 
     N: int
     L: float
@@ -72,6 +73,44 @@ class RadialGrid:
     def __post_init__(self):
         if self.N < MIN_GRID:
             raise ValueError(f"grid needs N >= {MIN_GRID}, got {self.N}")
+
+    @staticmethod
+    def halvable(N: int, halvings: int = 1) -> int:
+        """N, refused unless every grid met while halving it that many
+        times is even with at least 2 * MIN_GRID nodes."""
+        for j in range(halvings):
+            if (N >> j) % 2 or N >> j < 2 * MIN_GRID:
+                got = N if j == 0 else f"{N} / {2 ** j} = {N >> j}"
+                raise ValueError(f"the half grid needs an even N >= "
+                                 f"{2 * MIN_GRID}, got {got}")
+        return N
+
+    def half(self) -> "RadialGrid":
+        return replace(self, N=self.halvable(self.N) // 2)
+
+    def ghosted(self, values, parity: str) -> np.ndarray:
+        """values at every node, extended to nodes -1..N+1: cyclically on
+        a circle, else by the reflection smooth closure forces at a pole,
+        v(-r) = -v(r) for parity 'odd' (fields), +v(r) for 'even'."""
+        v = np.asarray(values, float)
+        if parity not in ("odd", "even"):
+            raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+        if self.topology is Topology.PERIODIC:
+            return np.concatenate((v[-1:], v, v[:2]))
+        s = -1.0 if parity == "odd" else 1.0
+        return np.concatenate(((s * v[1],), v, (s * v[-2],)))
+
+    def lowest_mode(self, parity: str, nonconstant: bool = False):
+        """The lowest (or lowest nonconstant) mode of -d^2/dr^2 that
+        ghosted(values, parity) continues, at the retained nodes: a half
+        sine between poles if odd, else 1 or the lowest cosine."""
+        r = self.interior
+        sphere = self.topology is Topology.SPHERE_LIKE
+        if sphere and parity == "odd":
+            return np.sin(math.pi * r / self.L)
+        # one half-wave between poles, one full wave around a circle
+        return (np.cos((1.0 if sphere else 2.0) * math.pi * r / self.L)
+                if nonconstant else np.ones(r.size))
 
     @property
     def dx(self) -> float:
@@ -110,7 +149,6 @@ class CheckResult:
     name: str
     passed: bool
     residual: float
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -301,13 +339,9 @@ def validate(profile: WarpProfile) -> ValidationReport:
     rs = (np.arange(1, samples) / samples) * L
     vals = np.asarray(profile.phi(rs), float)
     bad = np.where(~(vals > 0))[0]
-    if bad.size:
-        i = int(bad[0])
-        checks.append(CheckResult(
-            "positivity", False, float(vals[i]),
-            f"phi(r) <= 0 at r={rs[i]:.6g} (sample {i + 1}/{samples})"))
-    else:
-        checks.append(CheckResult("positivity", True, float(vals.min())))
+    # the first non-positive sample, else the smallest value
+    low = float(vals[bad[0]]) if bad.size else float(vals.min())
+    checks.append(CheckResult("positivity", not bad.size, low))
 
     if profile.topology is Topology.SPHERE_LIKE:
         res = {
@@ -323,8 +357,7 @@ def validate(profile: WarpProfile) -> ValidationReport:
             "periodic phi''": abs(float(profile.d2phi(0.0)) - float(profile.d2phi(L))),
         }
     for name, r in res.items():
-        checks.append(CheckResult(name, r <= tol, r,
-                                  "" if r <= tol else f"residual {r:.3g} > {tol:g}"))
+        checks.append(CheckResult(name, r <= tol, r))
 
     # supplied derivatives must agree with finite differences of phi itself
     probe = (np.arange(1, 32) / 32.0) * L
@@ -344,9 +377,10 @@ def ensure_usable(profile: WarpProfile) -> None:
     """Raise ValueError unless profile.validation (run once) is usable."""
     rep = profile.validation
     if not rep.usable:
-        names = ", ".join(c.name for c in rep.failures())
+        failed = ", ".join(f"{c.name} ({c.residual:.3g})"
+                           for c in rep.failures())
         raise ValueError(
-            f"profile {profile.preset_tag} is not usable; failed: {names}")
+            f"profile {profile.preset_tag} is not usable; failed: {failed}")
 
 
 # --- JSON config schema -------------------------------------------------

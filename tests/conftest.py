@@ -9,7 +9,9 @@ notes/decisions.md outside the package) report FAIL with a marker
 rather than being silently weakened.
 """
 
+import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             state = "PASS"
         tr.write_line(f"criterion {num}: {state} - {CRITERIA[num]}")
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """os.environ with the directory of the imported cohomlab first on
+    PYTHONPATH, so that a child interpreter imports the same package."""
+    import cohomlab
+    root = str(Path(cohomlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

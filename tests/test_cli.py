@@ -205,6 +205,8 @@ _SWEEP = {"values": [1.0]}
     ("sweep", {"sweep": {"start": None, "stop": 1.0, "step": 0.5}},
      "sweep.start"),
     ("sweep", {"sweep": {"param": ["k"], **_SWEEP}}, "sweep.param"),
+    ("sweep", {"sweep": {"start": 0.0, "stop": 1.0, "step": 1e-320}},
+     "sweep.step"),
     ("sweep", {"sweep": _SWEEP, "solver": {"tol": float("nan")}},
      "solver.tol"),
     ("converge", {"converge": {"grids": [None]}}, "converge.grids[0]"),
@@ -230,8 +232,8 @@ _SWEEP = {"values": [1.0]}
     ("verify", {"sweep": {"vals": [1.0]}}, "sweep.vals"),
 ], ids=["null", "string", "samples-stray-key", "solver-tol-null",
         "solver-not-object", "richardson-string", "sweep-values-null",
-        "sweep-start-null", "sweep-param-list", "sweep-tol-nan",
-        "converge-grids-null", "converge-grids-string",
+        "sweep-start-null", "sweep-param-list", "sweep-step-overflows",
+        "sweep-tol-nan", "converge-grids-null", "converge-grids-string",
         "converge-not-object", "solver-tol-negative",
         "solver-tol-zero-under-flag", "tol-flag-negative", "tol-flag-nan",
         "grids-flag-string", "grids-flag-small", "grid-flag-small",
@@ -285,13 +287,13 @@ def test_sweep_config_checked_like_verify(tmp_path, capsys, drop, topology,
     assert named in payload["error"]
 
 
-def test_import_skips_interpolate_and_integrate():
+def test_import_skips_interpolate_and_integrate(package_env):
     # scipy.interpolate is loaded only for spline profiles and
     # scipy.integrate not at all: they dominate cold-start time
     code = ("import sys, cohomlab; print(sorted(m for m in "
             "('scipy.interpolate', 'scipy.integrate') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=package_env).stdout
     assert out.strip() == "[]"
 
 

@@ -58,6 +58,9 @@ def test_derivative_parity_endpoints(round_setup):
     assert dh[0] == 0.0 and dh[-1] == 0.0
     with pytest.raises(ValueError):
         derivative(f, grid, "sideways")
+    periodic = grid_for(make_preset("PeriodicProduct", n=3, c=1.0, a=0.2), 64)
+    with pytest.raises(ValueError, match="parity"):
+        derivative(np.sin(periodic.nodes), periodic, "sideways")
 
 
 def test_derivative_second_order(round_setup):

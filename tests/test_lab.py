@@ -56,14 +56,16 @@ def test_bound_holds_definition(bump01_n2):
 
 
 def test_check_bound_needs_even_grid(round_n2, monkeypatch):
-    # the doubling test needs the half grid, so an odd N is refused
-    # before the profile is evaluated on any grid
+    # the doubling test needs the half grid, so an odd N, or one whose
+    # half is below the smallest grid (18 halves to 9), is refused with
+    # that N before the profile is evaluated on any grid
     calls = []
     geometry = spectral.orbit_geometry
     monkeypatch.setattr(spectral, "orbit_geometry",
                         lambda *a: calls.append(a) or geometry(*a))
-    with pytest.raises(ValueError, match="even"):
-        check_bound(round_n2, N=333)
+    for N in (333, 18, 20, 30):
+        with pytest.raises(ValueError, match=f"even N >= 32, got {N}$"):
+            check_bound(round_n2, N=N)
     assert calls == []
 
 

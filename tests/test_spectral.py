@@ -170,7 +170,7 @@ def test_coarse_start_matches_seed(name, n, kind, N):
         assert warm.iterations == 1
 
 
-def test_fine_solve_stays_on_one_core():
+def test_fine_solve_stays_on_one_core(package_env):
     # a BLAS dot product on more than 10^4 doubles wakes OpenBLAS's
     # thread pool, whose workers then spin on the other cores: the
     # CPU time of a fine solve would be about twice its wall time on
@@ -189,7 +189,7 @@ def test_fine_solve_stays_on_one_core():
         print((time.process_time() - cpu) / (time.perf_counter() - wall))
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=package_env).stdout
     assert float(out) <= 1.3
 
 
@@ -279,14 +279,22 @@ def test_richardson_extrapolation(round_n2):
 
 
 def test_richardson_odd_grid_fails_before_solving(round_n2, monkeypatch):
+    # an N without its half grids is refused, naming that N, before the
+    # profile is evaluated on any grid
     calls = []
     iterate = spectral._inverse_iterate
     monkeypatch.setattr(spectral, "_inverse_iterate",
                         lambda op, *a, **k: calls.append(op.grid.N)
                         or iterate(op, *a, **k))
-    with pytest.raises(ValueError, match="even"):
-        solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 129,
-                       richardson=True)
+    geometry = spectral.orbit_geometry
+    monkeypatch.setattr(spectral, "orbit_geometry",
+                        lambda *a: calls.append(a) or geometry(*a))
+    for N in (129, 20):
+        with pytest.raises(ValueError, match=f"even N >= 32, got {N}$"):
+            solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, N,
+                           richardson=True)
+    with pytest.raises(ValueError, match="even N >= 32, got 32 / 2 = 16$"):
+        convergence_study(round_n2, OperatorKind.ROUGH_VECTOR, [8, 16, 32])
     assert calls == []
 
 

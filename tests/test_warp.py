@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -97,8 +98,23 @@ def test_spline_profile_detects_negative_phi():
     p = profile_from_samples(r, samples, n=2, topology=Topology.SPHERE_LIKE)
     rep = validate(p)
     assert not rep.usable
-    with pytest.raises(ValueError):
+    # the error lists each failed check with its residual
+    first = rep.failures()[0]
+    assert first.name == "positivity" and first.residual <= 0
+    with pytest.raises(ValueError, match=re.escape(
+            f"failed: positivity ({first.residual:.3g})")):
         ensure_usable(p)
+
+
+def test_ghosted_reflects_at_poles_and_wraps_on_a_circle():
+    g = grid_for(round_profile(k=1.0, n=2), 16)
+    v = np.arange(17.0) + 1.0  # v[1] = 2, v[-2] = 16
+    np.testing.assert_array_equal(g.ghosted(v, "odd")[[0, -1]], [-2.0, -16.0])
+    np.testing.assert_array_equal(g.ghosted(v, "even")[[0, -1]], [2.0, 16.0])
+    c = grid_for(periodic_product_profile(c=1.0, a=0.2, n=3), 16)
+    w = np.arange(16.0)
+    np.testing.assert_array_equal(c.ghosted(w, "even"),
+                                  np.r_[15.0, w, 0.0, 1.0])
 
 
 def test_grid_shapes():
