@@ -25,7 +25,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="CSV destination (default: stdout table only)")
     args = ap.parse_args(argv)
 
-    count = int(round((args.stop - args.start) / args.step)) + 1
+    if not args.step > 0 or args.stop < args.start:
+        ap.error("need --step > 0 and --stop >= --start")
+    # the CLI's sweep rule: every row at or below --stop
+    count = int((args.stop - args.start) / args.step + 1e-9) + 1
     values = [args.start + i * args.step for i in range(count)]
     rows = sweep("Bump", values, n=args.n, N=args.grid)
 

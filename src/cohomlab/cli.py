@@ -1,7 +1,7 @@
 """Command-line interface: geometry, spectrum, verify, sweep, converge.
 
-Configs are JSON (keys n, topology, preset, grid, optional solver /
-sweep / converge sections; any other key is refused).  Outputs are
+Configs are JSON (keys n, topology, preset, grid, optional sweep /
+converge sections; any other key is refused).  Outputs are
 deterministic: JSON uses sorted keys and shortest round-trip floats,
 CSV uses comma delimiter, header row and LF endings, and solver seeds
 are fixed, so identical configs give byte-identical files.
@@ -19,22 +19,24 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from typing import Optional
 
 from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
-from .spectral import (DEFAULT_TOL, ConvergenceError, OperatorKind,
-                       convergence_study, solve_smallest)
-from .warp import (MIN_GRID, RadialGrid, _cfg_bool, _cfg_int, _cfg_list,
-                   _cfg_object, _cfg_real, profile_from_config)
+from .spectral import (ConvergenceError, OperatorKind, convergence_study,
+                       solve_smallest)
+from .warp import (MIN_GRID, RadialGrid, _cfg_int, _cfg_list, _cfg_object,
+                   _cfg_real, profile_from_config)
 
 # keys of the optional sections (profile_from_config checks the rest)
-SECTION_KEYS = {"solver": ("tol", "richardson"),
-                "sweep": ("param", "values", "start", "stop", "step"),
+SECTION_KEYS = {"sweep": ("param", "values", "start", "stop", "step"),
                 "converge": ("grids",)}
+# rows a start/stop/step sweep may have; checked before any is built
+MAX_SWEEP_ROWS = 10 ** 6
+KINDS = {"vector": OperatorKind.ROUGH_VECTOR,
+         "scalar": OperatorKind.SCALAR_LAPLACIAN}
 
 
 def _load_config(path: str) -> dict:
@@ -76,29 +78,12 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _positive(tol: float, where: str) -> float:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"{where}: expected a positive number, got {tol!r}")
-    return tol
-
-
 def _half_grid(N: int, where: str) -> int:
     """RadialGrid.halvable(N), its refusal prefixed with where N came from."""
     try:
         return RadialGrid.halvable(N)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-
-
-def _solver_opts(cfg: dict, args) -> tuple:
-    solver = cfg.get("solver", {})
-    tol = _positive(_cfg_real(solver.get("tol", DEFAULT_TOL), "solver.tol"),
-                    "config path 'solver.tol'")
-    richardson = _cfg_bool(solver.get("richardson", False),
-                           "solver.richardson")
-    if args.tol is not None:
-        tol = _positive(args.tol, "option '--tol'")
-    return tol, richardson or getattr(args, "richardson", False)
 
 
 def _cmd_geometry(args) -> int:
@@ -136,13 +121,11 @@ def _cmd_spectrum(args) -> int:
         raise ValueError(f"option '--grid': expected an integer >= "
                          f"{MIN_GRID}, got {args.grid}")
     N = grid.N if args.grid is None else args.grid
-    tol, richardson = _solver_opts(cfg, args)
-    if richardson:
+    if args.richardson:
         _half_grid(N, "config path 'grid.N'" if args.grid is None
                    else "option '--grid'")
-    kind = (OperatorKind.SCALAR_LAPLACIAN if args.kind == "scalar"
-            else OperatorKind.ROUGH_VECTOR)
-    result = solve_smallest(profile, kind, N, tol=tol, richardson=richardson)
+    result = solve_smallest(profile, KINDS[args.kind], N,
+                            richardson=args.richardson)
     payload = {
         "profile": profile.preset_tag,
         "kind": args.kind,
@@ -173,9 +156,7 @@ def _report_payload(rep: TheoremReport) -> dict:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     profile, grid = profile_from_config(cfg)
-    tol, _ = _solver_opts(cfg, args)
-    rep = check_bound(profile, N=_half_grid(grid.N, "config path 'grid.N'"),
-                      tol=tol)
+    rep = check_bound(profile, N=_half_grid(grid.N, "config path 'grid.N'"))
     _emit_json(_report_payload(rep), args.out)
     _say(f"verify {profile.preset_tag}: verdict={rep.verdict.value} "
          f"gap={rep.gap:.6g} (tol_disc={rep.tol_disc:.2g})")
@@ -195,8 +176,10 @@ def _sweep_values(section: dict) -> list:
     if step <= 0 or stop < start:
         raise ValueError("config path 'sweep': need step > 0, stop >= start")
     steps = (stop - start) / step
-    if not math.isfinite(steps):
-        raise ValueError(f"config path 'sweep.step': too small, got {step!r}")
+    # int(steps + 1e-9) + 1 rows; an overflowed (infinite) steps fails too
+    if not steps + 1e-9 < MAX_SWEEP_ROWS:
+        raise ValueError(f"config path 'sweep.step': too small, gives more "
+                         f"than {MAX_SWEEP_ROWS} rows, got {step!r}")
     return [start + i * step for i in range(int(steps + 1e-9) + 1)]
 
 
@@ -209,9 +192,8 @@ def _cmd_sweep(args) -> int:
     if not isinstance(param, (str, type(None))):
         raise ValueError(f"config path 'sweep.param': expected a parameter "
                          f"name, got {param!r}")
-    tol, _ = _solver_opts(cfg, args)
     rows = run_sweep(profile.preset, values, n=profile.n,
-                     N=_half_grid(grid.N, "config path 'grid.N'"), tol=tol,
+                     N=_half_grid(grid.N, "config path 'grid.N'"),
                      param=param, base_params=dict(profile.params))
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
@@ -228,7 +210,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     profile, _ = profile_from_config(cfg)
-    tol, _ = _solver_opts(cfg, args)
     grids = _cfg_list(cfg.get("converge", {}).get("grids", []),
                       "converge.grids", _cfg_int)
     if args.grids:
@@ -240,9 +221,7 @@ def _cmd_converge(args) -> int:
     if not grids:
         raise ValueError("config path 'converge.grids': missing "
                          "(or pass --grids)")
-    kind = (OperatorKind.SCALAR_LAPLACIAN if args.kind == "scalar"
-            else OperatorKind.ROUGH_VECTOR)
-    study = convergence_study(profile, kind, grids, tol=tol)
+    study = convergence_study(profile, KINDS[args.kind], grids)
     orders = ["exact" if p is None else p for p in study.orders]
     payload = {
         "profile": profile.preset_tag,
@@ -267,20 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="write JSON/CSV here instead of stdout")
 
-    def solving(p):
-        common(p)
-        p.add_argument("--tol", type=float,
-                       help="stop once the eigenvalue changes by at most "
-                            "tol * |lambda| per step (default 1e-12)")
-
     p = sub.add_parser("geometry", help="curvature and weight profiles")
     common(p)
     p.add_argument("--csv", help="write plot-ready profile CSV here")
     p.set_defaults(func=_cmd_geometry)
 
     p = sub.add_parser("spectrum", help="extremal eigenvalue")
-    solving(p)
-    p.add_argument("--kind", choices=["vector", "scalar"], default="vector")
+    common(p)
+    p.add_argument("--kind", choices=KINDS, default="vector")
     p.add_argument("--grid", type=int, help="override grid N")
     p.add_argument("--richardson", action="store_true",
                    help="extrapolate against the halved grid")
@@ -288,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the bound check with verdict")
-    solving(p)
+    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="bound check across a preset family")
-    solving(p)
+    common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("converge", help="grid convergence study")
-    solving(p)
-    p.add_argument("--kind", choices=["vector", "scalar"], default="vector")
+    common(p)
+    p.add_argument("--kind", choices=KINDS, default="vector")
     p.add_argument("--grids", help="comma-separated grid sizes")
     p.set_defaults(func=_cmd_converge)
     return parser

@@ -26,7 +26,7 @@ import numpy as np
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
-from .spectral import DEFAULT_TOL, OperatorKind, _coarse_to_fine, _solve
+from .spectral import OperatorKind, _coarse_to_fine, _solve
 from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
@@ -131,8 +131,7 @@ def rigidity_diagnostics(minimizer: InvariantField,
                                laplacian_equality_residual=lap_eq)
 
 
-def check_bound(profile: WarpProfile, N: int = 2048,
-                tol: float = DEFAULT_TOL) -> TheoremReport:
+def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     """Run the bound lambda_min >= kappa2 as an experiment with verdict.
 
     tol_disc is the grid-doubling difference |lambda_N - lambda_{N/2}|
@@ -142,13 +141,13 @@ def check_bound(profile: WarpProfile, N: int = 2048,
     """
     ensure_usable(profile)
     lams, fine, geom = _coarse_to_fine(profile, OperatorKind.ROUGH_VECTOR,
-                                       N, tol, 2)
+                                       N, 2)
     tol_disc = max(DISC_FLOOR, abs(lams[1] - lams[0]))
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
     kappa2 = ricci_profile(profile, geom.grid).kappa2
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom, tol).lam
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom).lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
     gap = fine.lam - kappa2
@@ -215,8 +214,7 @@ def _fv_scalar_residual(profile: WarpProfile, grid: RadialGrid,
     return float(np.sqrt(np.sum(res * res * m)))
 
 
-def obata_check(profile: WarpProfile, N: int = 4096,
-                tol: float = DEFAULT_TOL) -> ObataReport:
+def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     """First-eigenvalue criterion: mu1 = n*kappa2 detects the round sphere.
 
     Refuses profiles with kappa2 <= 0: the criterion presupposes the
@@ -233,8 +231,8 @@ def obata_check(profile: WarpProfile, N: int = 4096,
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {ricci.kappa2:.6g}")
     geom = orbit_geometry(profile, grid)
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom, tol).lam
-    vec = _solve(OperatorKind.ROUGH_VECTOR, geom, tol)
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom).lam
+    vec = _solve(OperatorKind.ROUGH_VECTOR, geom)
     n = profile.n
     defect = abs(mu1 - n * ricci.kappa2)
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
@@ -246,7 +244,7 @@ def obata_check(profile: WarpProfile, N: int = 4096,
 # --- parameter sweeps ----------------------------------------------------
 
 def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
-          tol: float = DEFAULT_TOL, param: Optional[str] = None,
+          param: Optional[str] = None,
           base_params: Optional[dict] = None) -> tuple:
     """check_bound across a preset family; one row per parameter value.
 
@@ -265,7 +263,7 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     def run(value: float) -> SweepRow:
         try:
             prof = make_preset(preset.name, n=n, **{**base, param: value})
-            rep = check_bound(prof, N=N, tol=tol)
+            rep = check_bound(prof, N=N)
             return SweepRow(param=value, kappa2=rep.kappa2,
                             lambda_min=rep.lambda_min, gap=rep.gap,
                             obata_defect=abs(rep.obata_mu1 - n * rep.kappa2),

@@ -31,12 +31,12 @@ from .fields import InvariantField, InvariantFunction
 from .geometry import OrbitGeometry, orbit_geometry
 from .warp import RadialGrid, Topology, WarpProfile, grid_for
 
-# relative change of the eigenvalue between successive steps at which
-# iteration may stop (the `tol` argument)
-DEFAULT_TOL = 1e-12
 # normwise backward error ||K x - lam W x|| / ((||K|| + |lam| ||W||) ||x||)
 # at which an iterate counts as an exact eigenpair of a nearby problem
 BACKWARD_TOL = 1e-15
+# relative change of the eigenvalue between successive steps below
+# which that backward error is checked
+CHANGE_TOL = 1e-12
 # shift sigma = -SHIFT * max(1, |lam_0|).  K - sigma W must stay
 # numerically definite.  On the Neumann problem the constant mode
 # gives it an eigenvalue of about |sigma| w dx against ||K|| ~ 4 w / dx,
@@ -270,13 +270,13 @@ def _fix_sign(x: np.ndarray) -> None:
         np.negative(x, out=x)
 
 
-def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
+def _inverse_iterate(op: DiscreteOperator, max_iter: int,
                      deflate_constants: bool, start=None):
     """Shifted inverse iteration on K f = lambda W f from _seed(op).
 
     One step solves (K - sigma W) y = W x and takes lambda as the
     difference-form quotient of y.  Iteration stops once lambda moved
-    by at most tol |lambda| in the step and the normwise backward error
+    by at most CHANGE_TOL |lambda| in the step and the normwise backward error
     (Rigal-Gaches) eta = ||K y - lambda W y|| / ((||K|| + |lambda| ||W||)
     ||y||) is at most BACKWARD_TOL.  Since K y = W x + sigma W y, that
     residual costs no matvec; the returned residual is eta recomputed
@@ -285,8 +285,6 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
     deflate_constants removes the constant mode W-orthogonally from
     every iterate (to step past the kernel of the scalar problem).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     W = op.weight
     scale_K, scale_W = op.norm_bound(), float(np.max(W))
     mass = float(np.sum(W))
@@ -326,7 +324,7 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
         lam_prev, lam = lam, op.quadform(y) / yWy
         change = abs(lam - lam_prev)
         eta = math.inf
-        if change <= tol * abs(lam):
+        if change <= CHANGE_TOL * abs(lam):
             # K y - lam W y = W x + (sigma - lam) W y, in Wx's buffer
             Wx += (sigma - lam) * Wy
             eta = backward_error(Wx, lam, y)
@@ -341,7 +339,7 @@ def _inverse_iterate(op: DiscreteOperator, tol: float, max_iter: int,
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "
         f"{eta:.3e}, target {BACKWARD_TOL:g}; last eigenvalue change "
-        f"{change:.3e}, target {tol * abs(lam):.3e})",
+        f"{change:.3e}, target {CHANGE_TOL * abs(lam):.3e})",
         last_residual=eta)
 
 
@@ -365,19 +363,18 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
                           grid_N=grid.N)
 
 
-def smallest_eigenpair(op: DiscreteOperator, tol: float = DEFAULT_TOL,
-                       max_iter: int = MAX_ITER, start=None) -> SpectralResult:
+def smallest_eigenpair(op: DiscreteOperator, max_iter: int = MAX_ITER,
+                       start=None) -> SpectralResult:
     """Smallest eigenvalue of K f = lambda W f by shifted inverse iteration.
 
     Deterministic: the seed is start (an eigenfunction on the half
     grid) interpolated onto this grid, or else _seed's analytic one.
     """
     return _package(op, *_inverse_iterate(
-        op, tol, max_iter, deflate_constants=False, start=start))
+        op, max_iter, deflate_constants=False, start=start))
 
 
 def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
-                                    tol: float = DEFAULT_TOL,
                                     max_iter: int = MAX_ITER,
                                     start=None) -> SpectralResult:
     """Smallest eigenvalue on the subspace W-orthogonal to constants.
@@ -389,19 +386,19 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
     if op.kind is not OperatorKind.SCALAR_LAPLACIAN:
         raise ValueError("first nonzero eigenvalue is a scalar-operator query")
     return _package(op, *_inverse_iterate(
-        op, tol, max_iter, deflate_constants=True, start=start))
+        op, max_iter, deflate_constants=True, start=start))
 
 
-def _solve(kind: OperatorKind, geom: OrbitGeometry, tol: float,
+def _solve(kind: OperatorKind, geom: OrbitGeometry,
            start=None) -> SpectralResult:
     oper = assemble(kind, geom)
     if kind is OperatorKind.SCALAR_LAPLACIAN:
-        return first_nonzero_scalar_eigenvalue(oper, tol=tol, start=start)
-    return smallest_eigenpair(oper, tol=tol, start=start)
+        return first_nonzero_scalar_eigenvalue(oper, start=start)
+    return smallest_eigenpair(oper, start=start)
 
 
 def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
-                    tol: float, levels: int) -> tuple:
+                    levels: int) -> tuple:
     """(eigenvalues coarse to fine, result at N, geometry at N) on the
     grids N / 2^(levels-1), ..., N / 2, N, each solve started from the
     eigenfunction of the one before (nested iteration).  The profile is
@@ -414,13 +411,12 @@ def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
     lams, result = [], None
     for geom in reversed(geoms):
         start = None if result is None else result.eigenfunction
-        result = _solve(kind, geom, tol, start)
+        result = _solve(kind, geom, start)
         lams.append(result.lam)
     return lams, result, geoms[0]
 
 
 def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
-                   tol: float = DEFAULT_TOL,
                    richardson: bool = False) -> SpectralResult:
     """Assemble and solve at grid N; optionally Richardson-extrapolate
     the eigenvalue against the halved grid (second-order scheme, so
@@ -430,7 +426,7 @@ def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
 
     The scalar kind reports the first nonzero eigenvalue.
     """
-    lams, result, _ = _coarse_to_fine(profile, kind, N, tol,
+    lams, result, _ = _coarse_to_fine(profile, kind, N,
                                       levels=2 if richardson else 1)
     extrap = lams[1] + (lams[1] - lams[0]) / 3.0 if richardson else None
     return replace(result, extrapolated=extrap)
@@ -444,7 +440,7 @@ class ConvergenceStudy:
 
 
 def convergence_study(profile: WarpProfile, kind: OperatorKind,
-                      grids, tol: float = DEFAULT_TOL) -> ConvergenceStudy:
+                      grids) -> ConvergenceStudy:
     """Eigenvalues over a doubling family of grids with observed orders
     (solved coarse to fine, see _coarse_to_fine).
 
@@ -459,7 +455,7 @@ def convergence_study(profile: WarpProfile, kind: OperatorKind,
     for a, b in zip(grids, grids[1:]):
         if b != 2 * a:
             raise ValueError("grids must double: got %d after %d" % (b, a))
-    lams = _coarse_to_fine(profile, kind, grids[-1], tol, len(grids))[0]
+    lams = _coarse_to_fine(profile, kind, grids[-1], len(grids))[0]
     orders = []
     for l1, l2, l3 in zip(lams, lams[1:], lams[2:]):
         d1 = l1 - l2

@@ -423,13 +423,6 @@ def _cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
     return value
 
 
-def _cfg_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(
-            f"config path '{path}': expected true or false, got {value!r}")
-    return value
-
-
 def _cfg_list(values, path: str, item=_cfg_real) -> list:
     """values checked as a list, each entry by item(entry, its path)."""
     if not isinstance(values, list):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomlab.cli import main
+from cohomlab.cli import MAX_SWEEP_ROWS, _sweep_values, main
 from cohomlab.lab import RigidityDiagnostics, TheoremReport, Verdict
 
 
@@ -121,10 +121,12 @@ def test_geometry_json_and_csv(round_cfg, tmp_path, capsys):
     assert header == "r,phi,H,B2,w,ric_radial,ric_tangential"
 
 
-def test_geometry_takes_no_tol(round_cfg, capsys):
-    # geometry solves nothing, so a --tol there is an unknown option
+@pytest.mark.parametrize("command", ["geometry", "spectrum", "verify",
+                                     "sweep", "converge"])
+def test_no_subcommand_takes_tol(round_cfg, capsys, command):
+    # the solver's stop rule is fixed, so --tol is an unknown option
     with pytest.raises(SystemExit) as exc:
-        main(["geometry", "--config", round_cfg, "--tol", "-1"])
+        main([command, "--config", round_cfg, "--tol", "1e-10"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
 
@@ -198,30 +200,21 @@ _SWEEP = {"values": [1.0]}
     ("verify", {"preset": {"type": "samples", "r": [0.0, 1.0, 2.0, 3.0],
                            "phi": [0.0, 1.0, 1.0, 0.0], "k": 3.0}},
      "preset.k"),
-    ("verify", {"solver": {"tol": None}}, "solver.tol"),
-    ("verify", {"solver": [1]}, "solver"),
-    ("spectrum", {"solver": {"richardson": "false"}}, "solver.richardson"),
     ("sweep", {"sweep": {"values": [None]}}, "sweep.values[0]"),
     ("sweep", {"sweep": {"start": None, "stop": 1.0, "step": 0.5}},
      "sweep.start"),
     ("sweep", {"sweep": {"param": ["k"], **_SWEEP}}, "sweep.param"),
     ("sweep", {"sweep": {"start": 0.0, "stop": 1.0, "step": 1e-320}},
      "sweep.step"),
-    ("sweep", {"sweep": _SWEEP, "solver": {"tol": float("nan")}},
-     "solver.tol"),
     ("converge", {"converge": {"grids": [None]}}, "converge.grids[0]"),
     ("converge", {"converge": {"grids": "256"}}, "converge.grids"),
     ("converge", {"converge": [256]}, "converge"),
-    ("verify", {"solver": {"tol": -1}}, "solver.tol"),
-    ("verify --tol 1e-10", {"solver": {"tol": 0}}, "solver.tol"),
-    ("spectrum --tol -1", {}, "--tol"),
-    ("verify --tol nan", {}, "--tol"),
     ("converge --grids 256,x", {}, "--grids"),
     ("converge --grids 8,16,32", {}, "--grids"),
     ("spectrum --grid 8", {}, "--grid"),
     ("verify", {"sovler": {"tol": 1e-3}}, "sovler"),
     ("verify", {"grid": {"N": 64, "n": 64}}, "grid.n"),
-    ("verify", {"solver": {"tolerance": 1e-3}}, "solver.tolerance"),
+    ("spectrum", {"solver": {"tol": 1e-10, "richardson": True}}, "solver"),
     ("sweep", {"sweep": {"parameter": "k", **_SWEEP}}, "sweep.parameter"),
     ("converge", {"converge": {"grid": [64, 128, 256]}}, "converge.grid"),
     ("verify", {"grid": {"N": 65}}, "grid.N"),
@@ -230,14 +223,12 @@ _SWEEP = {"values": [1.0]}
     ("spectrum --richardson", {"grid": {"N": 65}}, "grid.N"),
     ("spectrum --grid 129 --richardson", {}, "--grid"),
     ("verify", {"sweep": {"vals": [1.0]}}, "sweep.vals"),
-], ids=["null", "string", "samples-stray-key", "solver-tol-null",
-        "solver-not-object", "richardson-string", "sweep-values-null",
+], ids=["null", "string", "samples-stray-key", "sweep-values-null",
         "sweep-start-null", "sweep-param-list", "sweep-step-overflows",
-        "sweep-tol-nan", "converge-grids-null", "converge-grids-string",
-        "converge-not-object", "solver-tol-negative",
-        "solver-tol-zero-under-flag", "tol-flag-negative", "tol-flag-nan",
-        "grids-flag-string", "grids-flag-small", "grid-flag-small",
-        "unknown-top-key", "unknown-grid-key", "unknown-solver-key",
+        "converge-grids-null", "converge-grids-string",
+        "converge-not-object", "grids-flag-string", "grids-flag-small",
+        "grid-flag-small", "unknown-top-key", "unknown-grid-key",
+        "solver-section",
         "unknown-sweep-key", "unknown-converge-key", "verify-odd-N",
         "verify-half-grid-too-small", "sweep-odd-N",
         "richardson-odd-config-N", "richardson-odd-grid-flag",
@@ -308,3 +299,25 @@ def test_sweep_with_start_stop_step(tmp_path, capsys):
     lines = capsys.readouterr().out.rstrip("\n").split("\n")
     assert code == 0
     assert [row.split(",")[0] for row in lines[1:]] == ["0.0", "0.05", "0.1"]
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-6])
+def test_sweep_refuses_too_many_rows(tmp_path, capsys, monkeypatch, step):
+    # 1e-6 over [0, 1] is 1,000,001 rows, one past the bound; both are
+    # refused before any value is built or any row runs
+    monkeypatch.setattr("cohomlab.cli.run_sweep", lambda *a, **k: ())
+    cfg = {"n": 2, "topology": "sphere_like",
+           "preset": {"type": "bump", "eps": 0.0}, "grid": {"N": 64},
+           "sweep": {"start": 0.0, "stop": 1.0, "step": step}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["sweep", "--config", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert "config path 'sweep.step'" in payload["error"]
+
+
+def test_sweep_row_bound_is_inclusive():
+    values = _sweep_values({"start": 0.0, "stop": MAX_SWEEP_ROWS - 1.0,
+                            "step": 1.0})
+    assert len(values) == MAX_SWEEP_ROWS

@@ -19,10 +19,28 @@ def test_every_script_is_covered():
     assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == sorted(ARGV)
 
 
-@pytest.mark.parametrize("name", sorted(ARGV))
-def test_script_main_returns_zero(name, capsys):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(ARGV[name]) == 0
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_script_main_returns_zero(name, capsys):
+    assert _load(name).main(ARGV[name]) == 0
     assert capsys.readouterr().out
+
+
+def test_bump_sweep_stops_at_stop(monkeypatch, capsys):
+    # rows are counted like the CLI's sweep: none past --stop
+    module = _load("bump_gap_sweep")
+    seen = []
+    monkeypatch.setattr(module, "sweep",
+                        lambda family, values, **kw: seen.extend(values) or ())
+    assert module.main(["--stop", "0.29", "--step", "0.1"]) == 0
+    assert seen == pytest.approx([0.0, 0.1, 0.2])
+    assert seen[-1] <= 0.29
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--step", "0"])
+    assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import inspect
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohomlab
 from cohomlab import spectral
 from cohomlab import (ConvergenceError, InvariantField,
                       InvariantFunction, OperatorKind, Topology, assemble,
@@ -109,7 +111,7 @@ def test_rayleigh_consistency(round_n2, bump01_n2, periodic_n3):
 
 def test_residual_certificate(bump01_n2):
     op, _, _ = _op(bump01_n2, OperatorKind.ROUGH_VECTOR, 1024)
-    res = smallest_eigenpair(op, tol=1e-8)
+    res = smallest_eigenpair(op)
     x = op.grid.retained(res.eigenfunction.values)
     r = op.matvec(x) - res.lam * op.weight * x
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(op.weight * x)
@@ -304,21 +306,21 @@ def test_first_nonzero_requires_scalar(round_n2):
         first_nonzero_scalar_eigenvalue(op)
 
 
-def test_solver_rejects_bad_tol(round_n2):
-    op, _, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR)
-    with pytest.raises(ValueError):
-        smallest_eigenpair(op, tol=0.0)
-    # NaN fails every comparison: refused up front, not after MAX_ITER steps
-    with pytest.raises(ValueError):
-        solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 64,
-                       tol=float("nan"))
-
-
 def test_convergence_error_carries_residual(round_n2):
     op, _, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR, 1024)
     with pytest.raises(ConvergenceError) as info:
-        smallest_eigenpair(op, tol=1e-8, max_iter=1)
+        smallest_eigenpair(op, max_iter=1)
     assert info.value.last_residual > 0
+
+
+def test_no_public_callable_takes_tol():
+    # the stop rule is spectral.CHANGE_TOL and BACKWARD_TOL, set by no caller
+    for name in cohomlab.__all__:
+        try:
+            params = inspect.signature(getattr(cohomlab, name)).parameters
+        except (TypeError, ValueError):  # not callable, or no signature
+            continue
+        assert "tol" not in params, name
 
 
 def test_convergence_study_orders(round_n2):
