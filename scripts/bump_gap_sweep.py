@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from cohomlab import sweep
+from cohomlab.warp import sweep_range
 
 
 def main(argv=None) -> int:
@@ -25,11 +26,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="CSV destination (default: stdout table only)")
     args = ap.parse_args(argv)
 
-    if not args.step > 0 or args.stop < args.start:
-        ap.error("need --step > 0 and --stop >= --start")
-    # the CLI's sweep rule: every row at or below --stop
-    count = int((args.stop - args.start) / args.step + 1e-9) + 1
-    values = [args.start + i * args.step for i in range(count)]
+    try:  # the config's sweep rule and row bound, for --start/stop/step
+        values = sweep_range(vars(args), prefix="--")
+    except ValueError as exc:
+        ap.error(str(exc))
     rows = sweep("Bump", values, n=args.n, N=args.grid)
 
     print(f"# bump family, n = {args.n}, N = {args.grid}")

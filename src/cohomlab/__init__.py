@@ -19,9 +19,8 @@ from .spectral import (ConvergenceError, ConvergenceStudy, DiscreteOperator,
                        solve_smallest)
 from .warp import (CheckResult, RadialGrid, Topology, ValidationReport,
                    WarpProfile, bump_profile, ensure_usable, grid_for,
-                   make_preset, periodic_product_profile,
-                   profile_from_config, profile_from_samples,
-                   profile_to_config, round_profile, validate)
+                   make_preset, periodic_product_profile, profile_from_config,
+                   profile_from_samples, round_profile, validate)
 
 __version__ = "0.1.0"
 
@@ -36,8 +35,8 @@ __all__ = [
     "convergence_study", "derivative", "energy_functional", "ensure_usable",
     "first_nonzero_scalar_eigenvalue", "grid_for", "make_preset",
     "obata_check", "orbit_geometry", "periodic_product_profile",
-    "profile_from_config", "profile_from_samples", "profile_to_config",
-    "reconstruct_potential", "ricci_profile", "rigidity_diagnostics",
-    "round_profile", "second_derivative", "smallest_eigenpair",
-    "solve_smallest", "sweep", "validate", "weighted_integral",
+    "profile_from_config", "profile_from_samples", "reconstruct_potential",
+    "ricci_profile", "rigidity_diagnostics", "round_profile",
+    "second_derivative", "smallest_eigenpair", "solve_smallest", "sweep",
+    "validate", "weighted_integral",
 ]

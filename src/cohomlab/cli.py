@@ -1,7 +1,6 @@
 """Command-line interface: geometry, spectrum, verify, sweep, converge.
 
-Configs are JSON (keys n, topology, preset, grid, optional sweep /
-converge sections; any other key is refused).  Outputs are
+Configs are JSON, checked whole at load (see warp.read_config).  Outputs are
 deterministic: JSON uses sorted keys and shortest round-trip floats,
 CSV uses comma delimiter, header row and LF endings, and solver seeds
 are fixed, so identical configs give byte-identical files.
@@ -27,31 +26,21 @@ from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (ConvergenceError, OperatorKind, convergence_study,
                        solve_smallest)
-from .warp import (MIN_GRID, RadialGrid, _cfg_int, _cfg_list, _cfg_object,
-                   _cfg_real, profile_from_config)
+from .warp import Config, RadialGrid, cfg_int, cfg_list, read_config
 
-# keys of the optional sections (profile_from_config checks the rest)
-SECTION_KEYS = {"sweep": ("param", "values", "start", "stop", "step"),
-                "converge": ("grids",)}
-# rows a start/stop/step sweep may have; checked before any is built
-MAX_SWEEP_ROWS = 10 ** 6
 KINDS = {"vector": OperatorKind.ROUGH_VECTOR,
          "scalar": OperatorKind.SCALAR_LAPLACIAN}
 
 
-def _load_config(path: str) -> dict:
-    """The config at path, refused if it has a key outside the schema."""
+def _load_config(path: str) -> Config:
+    """The config at path, checked whole by read_config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return read_config(json.load(fh))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
-    _cfg_object(cfg, "", ("n", "topology", "preset", "grid", *SECTION_KEYS))
-    for key, known in SECTION_KEYS.items():
-        _cfg_object(cfg.get(key, {}), f"{key}.", known)
-    return cfg
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -86,9 +75,8 @@ def _half_grid(N: int, where: str) -> int:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _cmd_geometry(args) -> int:
-    cfg = _load_config(args.config)
-    profile, grid = profile_from_config(cfg)
+def _cmd_geometry(cfg: Config, args) -> int:
+    profile, grid = cfg.profile, cfg.grid
     geom = orbit_geometry(profile, grid)
     ricci = ricci_profile(profile, grid)
     payload = {
@@ -114,13 +102,9 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    profile, grid = profile_from_config(cfg)
-    if args.grid is not None and args.grid < MIN_GRID:
-        raise ValueError(f"option '--grid': expected an integer >= "
-                         f"{MIN_GRID}, got {args.grid}")
-    N = grid.N if args.grid is None else args.grid
+def _cmd_spectrum(cfg: Config, args) -> int:
+    profile = cfg.profile
+    N = cfg.grid.N if args.grid is None else cfg_int(args.grid, "--grid")
     if args.richardson:
         _half_grid(N, "config path 'grid.N'" if args.grid is None
                    else "option '--grid'")
@@ -153,9 +137,8 @@ def _report_payload(rep: TheoremReport) -> dict:
     return payload
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    profile, grid = profile_from_config(cfg)
+def _cmd_verify(cfg: Config, args) -> int:
+    profile, grid = cfg.profile, cfg.grid
     rep = check_bound(profile, N=_half_grid(grid.N, "config path 'grid.N'"))
     _emit_json(_report_payload(rep), args.out)
     _say(f"verify {profile.preset_tag}: verdict={rep.verdict.value} "
@@ -163,38 +146,13 @@ def _cmd_verify(args) -> int:
     return 0 if rep.bound_holds else 1
 
 
-def _sweep_values(section: dict) -> list:
-    if "values" in section:
-        return _cfg_list(section["values"], "sweep.values")
-    try:
-        start, stop, step = (_cfg_real(section[k], f"sweep.{k}")
-                             for k in ("start", "stop", "step"))
-    except KeyError as exc:
-        raise ValueError(
-            f"config path 'sweep.{exc.args[0]}': missing (need values "
-            f"or start/stop/step)") from None
-    if step <= 0 or stop < start:
-        raise ValueError("config path 'sweep': need step > 0, stop >= start")
-    steps = (stop - start) / step
-    # int(steps + 1e-9) + 1 rows; an overflowed (infinite) steps fails too
-    if not steps + 1e-9 < MAX_SWEEP_ROWS:
-        raise ValueError(f"config path 'sweep.step': too small, gives more "
-                         f"than {MAX_SWEEP_ROWS} rows, got {step!r}")
-    return [start + i * step for i in range(int(steps + 1e-9) + 1)]
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    profile, grid = profile_from_config(cfg)
-    section = cfg.get("sweep", {})
-    values = _sweep_values(section)
-    param = section.get("param")
-    if not isinstance(param, (str, type(None))):
-        raise ValueError(f"config path 'sweep.param': expected a parameter "
-                         f"name, got {param!r}")
-    rows = run_sweep(profile.preset, values, n=profile.n,
-                     N=_half_grid(grid.N, "config path 'grid.N'"),
-                     param=param, base_params=dict(profile.params))
+def _cmd_sweep(cfg: Config, args) -> int:
+    profile = cfg.profile
+    if cfg.sweep_values is None:
+        raise ValueError("config path 'sweep': missing")
+    rows = run_sweep(profile.preset, cfg.sweep_values, n=profile.n,
+                     N=_half_grid(cfg.grid.N, "config path 'grid.N'"),
+                     param=cfg.sweep_param, base_params=dict(profile.params))
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
              for r in rows]
@@ -207,17 +165,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    profile, _ = profile_from_config(cfg)
-    grids = _cfg_list(cfg.get("converge", {}).get("grids", []),
-                      "converge.grids", _cfg_int)
+def _cmd_converge(cfg: Config, args) -> int:
+    profile, grids = cfg.profile, cfg.converge_grids
     if args.grids:
-        try:
-            grids = [_cfg_int(int(g), "") for g in args.grids.split(",")]
-        except ValueError:
-            raise ValueError(f"option '--grids': expected integers >= "
-                             f"{MIN_GRID}, got {args.grids!r}") from None
+        # a non-integer entry stays text, for cfg_int to refuse by name
+        grids = cfg_list([int(g) if g.strip().isdecimal() else g
+                          for g in args.grids.split(",")], "--grids", cfg_int)
     if not grids:
         raise ValueError("config path 'converge.grids': missing "
                          "(or pass --grids)")
@@ -279,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_config(args.config), args)
     except ConvergenceError as exc:
         print(json.dumps({"error": str(exc), "type": "solver",
                           "last_residual": exc.last_residual}))

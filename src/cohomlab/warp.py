@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -385,9 +385,29 @@ def ensure_usable(profile: WarpProfile) -> None:
 
 # --- JSON config schema -------------------------------------------------
 #
-# {"n": int, "topology": "sphere_like"|"periodic",
+# {"n": int >= 2, "topology": "sphere_like"|"periodic",
 #  "preset": {"type": <a PRESETS name>|"samples", <its parameters>},
-#  "grid": {"N": int}}
+#  "grid": {"N": int >= MIN_GRID},
+#  "sweep": {"param": name, "values": [number]
+#            | "start": number, "stop": number, "step": number},  (optional)
+#  "converge": {"grids": [int >= MIN_GRID]}}                       (optional)
+#
+# read_config checks the whole document at once, and refuses any key
+# outside it; errors name the config path, or a flag's option (_where).
+
+# top-level keys, each with its section's keys (None: not a keyed section)
+CONFIG_KEYS = {"n": None, "topology": None, "preset": None, "grid": ("N",),
+               "sweep": ("param", "values", "start", "stop", "step"),
+               "converge": ("grids",)}
+# rows a start/stop/step sweep may have; checked before any is built
+MAX_SWEEP_ROWS = 10 ** 6
+
+
+def _where(path: str) -> str:
+    """config path 'a.b[i]', or option '--x' for a flag (and its entries)."""
+    return (f"option '{path.partition('[')[0]}'" if path.startswith("--")
+            else f"config path '{path}'")
+
 
 def _cfg_object(cfg, path: str, known=None) -> dict:
     """cfg, refused unless an object with no key outside known (if given)."""
@@ -403,7 +423,7 @@ def _cfg_object(cfg, path: str, known=None) -> dict:
 
 def _cfg_get(cfg: dict, key: str, path: str):
     if key not in _cfg_object(cfg, path):
-        raise ValueError(f"config path '{path}{key}': missing")
+        raise ValueError(f"{_where(path + key)}: missing")
     return cfg[key]
 
 
@@ -411,43 +431,71 @@ def _cfg_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
         raise ValueError(
-            f"config path '{path}': expected a finite number, got {value!r}")
+            f"{_where(path)}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
+def cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
+    """value, refused (naming path) unless an integer >= minimum."""
     if isinstance(value, bool) or not isinstance(value, int) \
             or value < minimum:
-        raise ValueError(f"config path '{path}': expected integer >= "
+        raise ValueError(f"{_where(path)}: expected integer >= "
                          f"{minimum}, got {value!r}")
     return value
 
 
-def _cfg_list(values, path: str, item=_cfg_real) -> list:
+def cfg_list(values, path: str, item=_cfg_real) -> list:
     """values checked as a list, each entry by item(entry, its path)."""
     if not isinstance(values, list):
-        raise ValueError(
-            f"config path '{path}': expected a list, got {values!r}")
+        raise ValueError(f"{_where(path)}: expected a list, got {values!r}")
     return [item(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
-    n = _cfg_int(_cfg_get(cfg, "n", ""), "n", minimum=2)
+def sweep_range(section: dict, prefix: str = "sweep.") -> list:
+    """start, start + step, ... up to stop, from section's values of those
+    keys, refused before any is built beyond MAX_SWEEP_ROWS; prefix is
+    'sweep.' in a config, '--' for flags."""
+    start, stop, step = (_cfg_real(_cfg_get(section, k, prefix), prefix + k)
+                         for k in ("start", "stop", "step"))
+    if step <= 0 or stop < start:
+        raise ValueError(f"{_where(prefix + 'step')}: need step > 0 and "
+                         f"stop >= start, got {start!r}/{stop!r}/{step!r}")
+    steps = (stop - start) / step
+    # int(steps + 1e-9) + 1 rows; an overflowed (infinite) steps fails too
+    if not steps + 1e-9 < MAX_SWEEP_ROWS:
+        raise ValueError(f"{_where(prefix + 'step')}: too small, gives more "
+                         f"than {MAX_SWEEP_ROWS} rows, got {step!r}")
+    return [start + i * step for i in range(int(steps + 1e-9) + 1)]
+
+
+class Config(NamedTuple):
+    """A checked config document; sweep_values is None without a sweep."""
+    profile: WarpProfile
+    grid: RadialGrid
+    sweep_param: str | None
+    sweep_values: list | None
+    converge_grids: list
+
+
+def read_config(cfg) -> Config:
+    """Check the whole config document and build what it describes;
+    raise ValueError naming the config path of the first bad value."""
+    _cfg_object(cfg, "", CONFIG_KEYS)
+    sections = {key: _cfg_object(cfg.get(key, {}), f"{key}.", known)
+                for key, known in CONFIG_KEYS.items() if known}
+    n = cfg_int(_cfg_get(cfg, "n", ""), "n", minimum=2)
     topo_name = _cfg_get(cfg, "topology", "")
-    try:
-        topology = Topology(topo_name)
-    except ValueError:
-        raise ValueError(
-            f"config path 'topology': expected 'sphere_like' or 'periodic', "
-            f"got {topo_name!r}") from None
+    if topo_name not in ("sphere_like", "periodic"):
+        raise ValueError(f"config path 'topology': expected 'sphere_like' "
+                         f"or 'periodic', got {topo_name!r}")
+    topology = Topology(topo_name)
     preset = _cfg_get(cfg, "preset", "")
     ptype = _cfg_get(preset, "type", "preset.")
-
     if ptype == "samples":
         _cfg_object(preset, "preset.", ("type", "r", "phi"))
-        prof = profile_from_samples(
-            _cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
-            _cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
+        profile = profile_from_samples(
+            cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
+            cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
             n=n, topology=topology)
     else:
         entry = PRESETS.get(str(ptype))
@@ -459,25 +507,24 @@ def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
                 f"config path 'topology': preset {ptype!r} implies "
                 f"{entry.topology.value!r}, config says {topo_name!r}")
         entry.check((k for k in preset if k != "type"), path="preset.")
-        prof = entry.builder(n=n, **{
+        profile = entry.builder(n=n, **{
             p: _cfg_real(_cfg_get(preset, p, "preset.") if p in entry.required
                          else preset.get(p, default), f"preset.{p}")
             for p, default in entry.defaults.items()})
+    N = cfg_int(_cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."), "grid.N")
+    sweep = sections["sweep"]
+    param = sweep.get("param")
+    if not isinstance(param, (str, type(None))):
+        raise ValueError(f"config path 'sweep.param': expected a parameter "
+                         f"name, got {param!r}")
+    values = (cfg_list(sweep["values"], "sweep.values") if "values" in sweep
+              else sweep_range(sweep) if "sweep" in cfg else None)
+    grids = cfg_list(sections["converge"].get("grids", []), "converge.grids",
+                     cfg_int)
+    return Config(profile, grid_for(profile, N), param, values, grids)
 
-    grid_cfg = _cfg_object(_cfg_get(cfg, "grid", ""), "grid.", ("N",))
-    N = _cfg_int(_cfg_get(grid_cfg, "N", "grid."), "grid.N")
-    return prof, grid_for(prof, N)
 
-
-def profile_to_config(profile: WarpProfile, grid: RadialGrid) -> dict:
-    """Inverse of profile_from_config for the analytic presets."""
-    if profile.preset not in PRESETS:
-        raise ValueError(
-            f"cannot serialize non-preset profile {profile.preset_tag!r}")
-    return {
-        "n": profile.n,
-        "topology": profile.topology.value,
-        "preset": {"type": profile.preset,
-                   **{p: float(v) for p, v in profile.params}},
-        "grid": {"N": grid.N},
-    }
+def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:
+    """The profile and grid of a config document, refused as read_config
+    refuses it: every section is checked, read here or not."""
+    return read_config(cfg)[:2]

@@ -1,13 +1,16 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cohomlab.cli import MAX_SWEEP_ROWS, _sweep_values, main
+from cohomlab import ConvergenceError, profile_from_config
+from cohomlab.cli import main
 from cohomlab.lab import RigidityDiagnostics, TheoremReport, Verdict
+from cohomlab.warp import MAX_SWEEP_ROWS, sweep_range
 
 
 @pytest.fixture()
@@ -78,6 +81,20 @@ def test_out_of_memory_is_exit_two(round_cfg, capsys, monkeypatch, command):
     assert out.count("\n") == 1
     assert json.loads(out) == {"error": "Unable to allocate 22.4 GiB for "
                                         "an array", "type": "MemoryError"}
+
+
+def test_solver_error_is_exit_two(round_cfg, capsys, monkeypatch):
+    # a solve that does not converge is refused with its last residual
+    def stall(*args, **kwargs):
+        raise ConvergenceError("no convergence after 200 steps", 3.5e-9)
+
+    monkeypatch.setattr("cohomlab.cli.check_bound", stall)
+    code = main(["verify", "--config", round_cfg])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "no convergence after 200 steps",
+                               "type": "solver", "last_residual": 3.5e-9}
 
 
 def test_spectrum_scalar_near_two(round_cfg, capsys):
@@ -192,56 +209,85 @@ def test_config_error_names_path(tmp_path, capsys):
 
 
 _SWEEP = {"values": [1.0]}
+_ROUND = {"n": 3, "topology": "sphere_like",
+          "preset": {"type": "round", "k": 1.0}, "grid": {"N": 64}}
+
+# bad documents: refused at load whichever subcommand runs, and by
+# profile_from_config
+BAD_DOCUMENTS = [
+    pytest.param("verify", {"preset": {"type": "round", "k": None}},
+                 "preset.k", id="null"),
+    pytest.param("verify", {"preset": {"type": "round", "k": "x"}},
+                 "preset.k", id="string"),
+    pytest.param("verify", {"preset": {"type": "samples",
+                                       "r": [0.0, 1.0, 2.0, 3.0],
+                                       "phi": [0.0, 1.0, 1.0, 0.0],
+                                       "k": 3.0}},
+                 "preset.k", id="samples-stray-key"),
+    pytest.param("sweep", {"sweep": {"values": [None]}}, "sweep.values[0]",
+                 id="sweep-values-null"),
+    pytest.param("sweep", {"sweep": {"start": None, "stop": 1.0,
+                                     "step": 0.5}},
+                 "sweep.start", id="sweep-start-null"),
+    pytest.param("sweep", {"sweep": {"param": ["k"], **_SWEEP}},
+                 "sweep.param", id="sweep-param-list"),
+    pytest.param("sweep", {"sweep": {"start": 0.0, "stop": 1.0,
+                                     "step": 1e-320}},
+                 "sweep.step", id="sweep-step-overflows"),
+    pytest.param("converge", {"converge": {"grids": [None]}},
+                 "converge.grids[0]", id="converge-grids-null"),
+    pytest.param("converge", {"converge": {"grids": "256"}},
+                 "converge.grids", id="converge-grids-string"),
+    pytest.param("converge", {"converge": [256]}, "converge",
+                 id="converge-not-object"),
+    pytest.param("verify", {"sovler": {"tol": 1e-3}}, "sovler",
+                 id="unknown-top-key"),
+    pytest.param("verify", {"grid": {"N": 64, "n": 64}}, "grid.n",
+                 id="unknown-grid-key"),
+    pytest.param("spectrum", {"solver": {"tol": 1e-10, "richardson": True}},
+                 "solver", id="solver-section"),
+    pytest.param("sweep", {"sweep": {"parameter": "k", **_SWEEP}},
+                 "sweep.parameter", id="unknown-sweep-key"),
+    pytest.param("converge", {"converge": {"grid": [64, 128, 256]}},
+                 "converge.grid", id="unknown-converge-key"),
+    pytest.param("verify", {"sweep": {"vals": [1.0]}}, "sweep.vals",
+                 id="unknown-key-in-unread-section"),
+    pytest.param("verify", {"sweep": {"values": "x"}}, "sweep.values",
+                 id="sweep-values-string-in-unread-section"),
+    pytest.param("verify", {"sweep": {"param": ["k"], **_SWEEP}},
+                 "sweep.param", id="sweep-param-list-in-unread-section"),
+    pytest.param("geometry", {"sweep": {"start": 0.0, "stop": 1.0,
+                                        "step": 1e-300}},
+                 "sweep.step", id="sweep-step-overflows-in-unread-section"),
+    pytest.param("spectrum", {"converge": {"grids": [8]}},
+                 "converge.grids[0]",
+                 id="converge-grids-small-in-unread-section"),
+]
 
 
 @pytest.mark.parametrize("command, section, path", [
-    ("verify", {"preset": {"type": "round", "k": None}}, "preset.k"),
-    ("verify", {"preset": {"type": "round", "k": "x"}}, "preset.k"),
-    ("verify", {"preset": {"type": "samples", "r": [0.0, 1.0, 2.0, 3.0],
-                           "phi": [0.0, 1.0, 1.0, 0.0], "k": 3.0}},
-     "preset.k"),
-    ("sweep", {"sweep": {"values": [None]}}, "sweep.values[0]"),
-    ("sweep", {"sweep": {"start": None, "stop": 1.0, "step": 0.5}},
-     "sweep.start"),
-    ("sweep", {"sweep": {"param": ["k"], **_SWEEP}}, "sweep.param"),
-    ("sweep", {"sweep": {"start": 0.0, "stop": 1.0, "step": 1e-320}},
-     "sweep.step"),
-    ("converge", {"converge": {"grids": [None]}}, "converge.grids[0]"),
-    ("converge", {"converge": {"grids": "256"}}, "converge.grids"),
-    ("converge", {"converge": [256]}, "converge"),
-    ("converge --grids 256,x", {}, "--grids"),
-    ("converge --grids 8,16,32", {}, "--grids"),
-    ("spectrum --grid 8", {}, "--grid"),
-    ("verify", {"sovler": {"tol": 1e-3}}, "sovler"),
-    ("verify", {"grid": {"N": 64, "n": 64}}, "grid.n"),
-    ("spectrum", {"solver": {"tol": 1e-10, "richardson": True}}, "solver"),
-    ("sweep", {"sweep": {"parameter": "k", **_SWEEP}}, "sweep.parameter"),
-    ("converge", {"converge": {"grid": [64, 128, 256]}}, "converge.grid"),
-    ("verify", {"grid": {"N": 65}}, "grid.N"),
-    ("verify", {"grid": {"N": 18}}, "grid.N"),
-    ("sweep", {"grid": {"N": 65}, "sweep": _SWEEP}, "grid.N"),
-    ("spectrum --richardson", {"grid": {"N": 65}}, "grid.N"),
-    ("spectrum --grid 129 --richardson", {}, "--grid"),
-    ("verify", {"sweep": {"vals": [1.0]}}, "sweep.vals"),
-], ids=["null", "string", "samples-stray-key", "sweep-values-null",
-        "sweep-start-null", "sweep-param-list", "sweep-step-overflows",
-        "converge-grids-null", "converge-grids-string",
-        "converge-not-object", "grids-flag-string", "grids-flag-small",
-        "grid-flag-small", "unknown-top-key", "unknown-grid-key",
-        "solver-section",
-        "unknown-sweep-key", "unknown-converge-key", "verify-odd-N",
-        "verify-half-grid-too-small", "sweep-odd-N",
-        "richardson-odd-config-N", "richardson-odd-grid-flag",
-        "unknown-key-in-unread-section"])
+    *BAD_DOCUMENTS,
+    pytest.param("converge --grids 256,x", {}, "--grids",
+                 id="grids-flag-string"),
+    pytest.param("converge --grids 8,16,32", {}, "--grids",
+                 id="grids-flag-small"),
+    pytest.param("spectrum --grid 8", {}, "--grid", id="grid-flag-small"),
+    pytest.param("verify", {"grid": {"N": 65}}, "grid.N", id="verify-odd-N"),
+    pytest.param("verify", {"grid": {"N": 18}}, "grid.N",
+                 id="verify-half-grid-too-small"),
+    pytest.param("sweep", {"grid": {"N": 65}, "sweep": _SWEEP}, "grid.N",
+                 id="sweep-odd-N"),
+    pytest.param("spectrum --richardson", {"grid": {"N": 65}}, "grid.N",
+                 id="richardson-odd-config-N"),
+    pytest.param("spectrum --grid 129 --richardson", {}, "--grid",
+                 id="richardson-odd-grid-flag"),
+])
 def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
                                      path):
     # every bad config value or flag exits 2 with one line of error JSON
     # naming its config path or flag, never with a traceback
-    cfg = {"n": 3, "topology": "sphere_like",
-           "preset": {"type": "round", "k": 1.0}, "grid": {"N": 64},
-           **section}
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({**_ROUND, **section}))
     code = main([*command.split(), "--config", str(cfg_path)])
     out = capsys.readouterr().out
     assert code == 2
@@ -249,6 +295,13 @@ def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
     where = (f"option '{path}'" if path.startswith("--")
              else f"config path '{path}'")
     assert where in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command, section, path", BAD_DOCUMENTS)
+def test_profile_from_config_refuses_bad_documents(command, section, path):
+    # the API refuses exactly what every subcommand refuses at load
+    with pytest.raises(ValueError, match=f"config path '{re.escape(path)}'"):
+        profile_from_config({**_ROUND, **section})
 
 
 def test_outputs_are_byte_identical(round_cfg, tmp_path, capsys):
@@ -318,6 +371,6 @@ def test_sweep_refuses_too_many_rows(tmp_path, capsys, monkeypatch, step):
 
 
 def test_sweep_row_bound_is_inclusive():
-    values = _sweep_values({"start": 0.0, "stop": MAX_SWEEP_ROWS - 1.0,
-                            "step": 1.0})
+    values = sweep_range({"start": 0.0, "stop": MAX_SWEEP_ROWS - 1.0,
+                          "step": 1.0})
     assert len(values) == MAX_SWEEP_ROWS

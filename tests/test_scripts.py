@@ -44,3 +44,18 @@ def test_bump_sweep_stops_at_stop(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         module.main(["--step", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--step", "1e-300"], "--step"),
+    (["--stop", "inf"], "--stop"),
+])
+def test_bump_sweep_refuses_too_many_rows(monkeypatch, capsys, argv, flag):
+    # the config's row bound: refused before any value is built or row runs
+    module = _load("bump_gap_sweep")
+    monkeypatch.setattr(module, "sweep",
+                        lambda *a, **kw: pytest.fail("a row ran"))
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2
+    assert f"option '{flag}'" in capsys.readouterr().err

@@ -248,6 +248,17 @@ def test_eigenvalue_normalization(round_n2):
     assert nz[0] > 0  # deterministic sign
 
 
+@pytest.mark.parametrize("x, expected", [
+    ([1e-20, -3.0, 2.0], [-1e-20, 3.0, -2.0]),  # first entry negligible
+    ([0.5, -1.0], [0.5, -1.0]),
+    ([0.0, 0.0], [0.0, 0.0]),
+])
+def test_fix_sign(x, expected):
+    x = np.array(x)
+    spectral._fix_sign(x)
+    np.testing.assert_array_equal(x, expected)
+
+
 def test_flat_periodic_is_exact_kernel():
     flat = make_preset("PeriodicProduct", n=3, c=1.0, a=0.0)
     res = solve_smallest(flat, OperatorKind.ROUGH_VECTOR, 256)
@@ -338,6 +349,17 @@ def test_convergence_study_exact_case():
     flat = make_preset("PeriodicProduct", n=3, c=1.0, a=0.0)
     study = convergence_study(flat, OperatorKind.ROUGH_VECTOR, [64, 128, 256])
     assert study.orders == (None,)  # reported as exact
+
+
+@pytest.mark.parametrize("lams", [(1.0, 0.9, 1.0), (1.0, 0.9, 0.9)])
+def test_convergence_study_order_of_a_non_monotone_triple(round_n2,
+                                                          monkeypatch, lams):
+    # no order exists when the differences change sign or the second is 0
+    monkeypatch.setattr(spectral, "_coarse_to_fine",
+                        lambda *args: (list(lams), None, None))
+    study = convergence_study(round_n2, OperatorKind.ROUGH_VECTOR,
+                              [64, 128, 256])
+    assert math.isnan(study.orders[0])
 
 
 def test_eigenfunction_matches_sine(round_n2):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomlab import warp
-from cohomlab import (Topology, bump_profile, check_bound, ensure_usable,
-                      grid_for, make_preset, periodic_product_profile,
-                      profile_from_config, profile_from_samples,
-                      profile_to_config, round_profile, validate)
+from cohomlab import (Topology, Verdict, bump_profile, check_bound,
+                      ensure_usable, grid_for, make_preset,
+                      periodic_product_profile, profile_from_config,
+                      profile_from_samples, round_profile, validate)
 from cohomlab.warp import ANALYTIC_CLOSURE_TOL, MIN_GRID
 
 
@@ -136,19 +136,6 @@ def test_grid_minimum_size():
         grid_for(p, MIN_GRID // 2)
 
 
-def test_profile_config_round_trip():
-    for p in (make_preset("Round", n=2, k=2.0),
-              make_preset("Bump", n=3, eps=0.2),
-              make_preset("PeriodicProduct", n=3, c=1.0, a=0.3, L=3.0)):
-        g = grid_for(p, 256)
-        cfg = profile_to_config(p, g)
-        q, gq = profile_from_config(cfg)
-        assert q.preset_tag == p.preset_tag
-        assert (q.L, q.topology, gq.N) == (p.L, p.topology, 256)
-        r = np.linspace(0.1, p.L - 0.1, 17)
-        np.testing.assert_allclose(q.phi(r), p.phi(r), rtol=1e-14)
-
-
 def test_config_errors_name_paths():
     with pytest.raises(ValueError, match="preset.k"):
         profile_from_config({"n": 2, "topology": "sphere_like",
@@ -172,6 +159,34 @@ def test_config_accepts_samples():
     p, g = profile_from_config(json.loads(json.dumps(cfg)))
     assert validate(p).usable
     assert g.N == 128
+
+
+def _periodic_samples(mismatch=0.0):
+    r = np.linspace(0, 2 * math.pi, 129)
+    phi = 1.0 + 0.3 * np.sin(r)
+    phi[-1] += mismatch
+    return r, phi
+
+
+def test_periodic_samples_must_match_at_the_seam():
+    r, phi = _periodic_samples(mismatch=1e-3)
+    with pytest.raises(ValueError, match="seam"):
+        profile_from_samples(r, phi, n=3, topology=Topology.PERIODIC)
+
+
+def test_config_accepts_periodic_samples():
+    # the spline wraps, so the profile is usable and its lab verdict is
+    # that of 1 + 0.3 sin(r), whose curvature is negative somewhere
+    r, phi = _periodic_samples()
+    cfg = {"n": 3, "topology": "periodic",
+           "preset": {"type": "samples", "r": list(r), "phi": list(phi)},
+           "grid": {"N": 512}}
+    p, g = profile_from_config(json.loads(json.dumps(cfg)))
+    assert p.topology is Topology.PERIODIC and validate(p).usable
+    rep = check_bound(p, N=g.N)
+    assert rep.verdict is Verdict.HYPOTHESIS_NOT_MET
+    assert rep.kappa2 == pytest.approx(-0.4287, abs=1e-4)
+    assert rep.obata_mu1 == pytest.approx(1.0153851, rel=1e-7)
 
 
 def test_validation_is_cached(monkeypatch):
