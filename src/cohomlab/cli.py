@@ -78,7 +78,7 @@ def _half_grid(N: int, where: str) -> int:
 def _cmd_geometry(cfg: Config, args) -> int:
     profile, grid = cfg.profile, cfg.grid
     geom = orbit_geometry(profile, grid)
-    ricci = ricci_profile(profile, grid)
+    ricci = ricci_profile(geom)
     payload = {
         "profile": profile.preset_tag,
         "n": profile.n,
@@ -89,9 +89,7 @@ def _cmd_geometry(cfg: Config, args) -> int:
         "argmin_r": ricci.argmin_r,
     }
     if args.csv:
-        r = grid.interior
-        w = geom.w_interior
-        rows = zip(r, profile.phi(r), geom.H, geom.B2, w,
+        rows = zip(grid.interior, geom.phi, geom.H, geom.B2, geom.w_interior,
                    ricci.ric_radial, ricci.ric_tangential)
         _emit_text(_csv_text(
             ["r", "phi", "H", "B2", "w", "ric_radial", "ric_tangential"],
@@ -147,12 +145,11 @@ def _cmd_verify(cfg: Config, args) -> int:
 
 
 def _cmd_sweep(cfg: Config, args) -> int:
-    profile = cfg.profile
     if cfg.sweep_values is None:
         raise ValueError("config path 'sweep': missing")
-    rows = run_sweep(profile.preset, cfg.sweep_values, n=profile.n,
+    rows = run_sweep(cfg.preset, cfg.sweep_values, n=cfg.profile.n,
                      N=_half_grid(cfg.grid.N, "config path 'grid.N'"),
-                     param=cfg.sweep_param, base_params=dict(profile.params))
+                     param=cfg.sweep_param, base_params=cfg.params)
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
              for r in rows]
@@ -160,7 +157,7 @@ def _cmd_sweep(cfg: Config, args) -> int:
         ["param", "kappa2", "lambda_min", "gap", "obata_defect", "verdict",
          "error"], table), args.out)
     failed = sum(1 for r in rows if r.error)
-    _say(f"sweep {profile.preset} x{len(rows)} rows"
+    _say(f"sweep {cfg.preset} x{len(rows)} rows"
          + (f" ({failed} failed)" if failed else ""))
     return 0
 

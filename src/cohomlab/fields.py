@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrbitGeometry, RicciProfile
+from .geometry import OrbitGeometry, ricci_profile
 from .warp import RadialGrid, Topology
 
 
@@ -175,8 +175,7 @@ def reconstruct_potential(field: InvariantField) -> InvariantFunction:
     return InvariantFunction(values=h[:f.size], grid=grid)
 
 
-def bochner_residual(h: InvariantFunction, geom: OrbitGeometry,
-                     ricci: RicciProfile) -> float:
+def bochner_residual(h: InvariantFunction, geom: OrbitGeometry) -> float:
     """Defect of int (Delta h)^2 = int Ric(grad h, grad h) + int |Hess h|^2.
 
     grad h = f N is radial, so Ric(grad h, grad h) = ric_radial * f^2.
@@ -184,13 +183,12 @@ def bochner_residual(h: InvariantFunction, geom: OrbitGeometry,
     """
     f, _, lap, hess2 = radial_calculus(h, geom)
     lhs = weighted_integral(lap * lap, geom)
-    ric_term = weighted_integral(ricci.ric_radial * f * f, geom)
+    ric_term = weighted_integral(ricci_profile(geom).ric_radial * f * f, geom)
     hess_term = weighted_integral(hess2, geom)
     return abs(lhs - ric_term - hess_term) / max(1.0, lhs)
 
 
-def bochner_bound(field: InvariantField, geom: OrbitGeometry,
-                  ricci: RicciProfile) -> float:
+def bochner_bound(field: InvariantField, geom: OrbitGeometry) -> float:
     """Lower bound (1/(n-1)) int Ric(V, V) w / int f^2 w for F(V).
 
     Valid for gradient fields; exceeds kappa2 whenever Ric is constant
@@ -200,5 +198,5 @@ def bochner_bound(field: InvariantField, geom: OrbitGeometry,
     den = weighted_integral(fi * fi, geom)
     if den == 0.0:
         raise ValueError("zero field")
-    num = weighted_integral(ricci.ric_radial * fi * fi, geom)
+    num = weighted_integral(ricci_profile(geom).ric_radial * fi * fi, geom)
     return num / ((geom.n - 1) * den)

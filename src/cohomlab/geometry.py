@@ -21,7 +21,7 @@ from .warp import RadialGrid, Topology, WarpProfile, ensure_usable
 
 @dataclass(frozen=True)
 class OrbitGeometry:
-    """H, |B|^2 over interior nodes; weight w = phi^{n-1} over all nodes.
+    """phi, phi', H, |B|^2 on retained nodes; weight w = phi^{n-1} on all.
 
     For sphere-like profiles w vanishes at the two pole nodes and the
     per-orbit arrays cover nodes 1..N-1 only; periodic profiles have no
@@ -29,11 +29,17 @@ class OrbitGeometry:
     """
 
     H: np.ndarray
-    B2: np.ndarray
+    B2: np.ndarray  # stored: a tiny phi gives a finite H but an infinite B2
     w: np.ndarray
     w_mid: np.ndarray
+    phi: np.ndarray
+    dphi: np.ndarray
     grid: RadialGrid
-    n: int
+    profile: WarpProfile
+
+    @property
+    def n(self) -> int:
+        return self.profile.n
 
     @property
     def w_interior(self) -> np.ndarray:
@@ -49,7 +55,8 @@ class OrbitGeometry:
         even = slice(0 if grid.topology is Topology.PERIODIC else 1, None, 2)
         return OrbitGeometry(H=self.H[even], B2=self.B2[even],
                              w=self.w[::2], w_mid=self.w[1::2],
-                             grid=grid.half(), n=self.n)
+                             phi=self.phi[even], dphi=self.dphi[even],
+                             grid=grid.half(), profile=self.profile)
 
 
 @dataclass(frozen=True)
@@ -78,12 +85,14 @@ def _require_finite(profile: WarpProfile, **arrays) -> None:
 
 
 def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
+    """The one evaluation of phi and phi' on grid's nodes, all finite."""
     ensure_usable(profile)
     n = profile.n
     r = grid.nodes
     phi_nodes = np.asarray(profile.phi(r), float)
+    phi = grid.retained(phi_nodes)
     dphi = np.asarray(profile.dphi(grid.retained(r)), float)
-    quot = dphi / grid.retained(phi_nodes)
+    quot = dphi / phi
     H = -quot
     B2 = (n - 1) * quot * quot
     w = phi_nodes ** (n - 1)
@@ -95,11 +104,12 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     # coordinate singularity without special-casing the pole cells
     w_mid = np.asarray(profile.phi(grid.midpoints), float) ** (n - 1)
     _require_finite(profile, H=H, B2=B2, w=w, w_mid=w_mid)
-    return OrbitGeometry(H=H, B2=B2, w=w, w_mid=w_mid, grid=grid, n=n)
+    return OrbitGeometry(H=H, B2=B2, w=w, w_mid=w_mid, phi=phi, dphi=dphi,
+                         grid=grid, profile=profile)
 
 
-def ricci_profile(profile: WarpProfile, grid: RadialGrid) -> RicciProfile:
-    """Warped-product Ricci values on interior nodes.
+def ricci_profile(geom: OrbitGeometry) -> RicciProfile:
+    """Warped-product Ricci values on the retained nodes of geom.
 
     ric_radial = -(n-1) phi''/phi (any unit normal direction) and
     ric_tangential = -phi''/phi + (n-2)(1 - phi'^2)/phi^2 (any unit
@@ -107,12 +117,11 @@ def ricci_profile(profile: WarpProfile, grid: RadialGrid) -> RicciProfile:
     direction is a convex combination of these two and the global
     minimum is the nodewise min over both arrays.  Smooth closure makes
     the omitted pole limits agree with neighboring interior values.
+    phi and phi' come from geom; only phi'' is evaluated here.
     """
-    ensure_usable(profile)
-    n = profile.n
-    ri = grid.interior
-    phi = np.asarray(profile.phi(ri), float)
-    dphi = np.asarray(profile.dphi(ri), float)
+    profile, n = geom.profile, geom.n
+    ri = geom.grid.interior
+    phi, dphi = geom.phi, geom.dphi
     d2phi = np.asarray(profile.d2phi(ri), float)
     ric_radial = -(n - 1) * d2phi / phi
     ric_tangential = -d2phi / phi + (n - 2) * (1.0 - dphi * dphi) / (phi * phi)

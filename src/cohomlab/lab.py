@@ -146,7 +146,7 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
-    kappa2 = ricci_profile(profile, geom.grid).kappa2
+    kappa2 = ricci_profile(geom).kappa2
     mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom).lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
@@ -185,8 +185,8 @@ def _cell_integrals(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         * half[:, 0]
 
 
-def _fv_scalar_residual(profile: WarpProfile, grid: RadialGrid,
-                        g: np.ndarray, eig: float) -> float:
+def _fv_scalar_residual(geom: OrbitGeometry, g: np.ndarray,
+                        eig: float) -> float:
     """||lap g + eig * g||_{L2(w)} with exact-resistance FV fluxes.
 
     g is given at the interior nodes.  Fluxes between adjacent interior
@@ -196,19 +196,19 @@ def _fv_scalar_residual(profile: WarpProfile, grid: RadialGrid,
     the operator needs no boundary condition.  Node masses are the cell
     integrals of w, which also serve as the L2(w) quadrature weights.
     """
-    n = profile.n
+    n, grid = geom.n, geom.grid
     dx = grid.dx
     r = grid.interior
 
     def wfun(s):
-        return profile.phi(s) ** (n - 1)
+        return geom.profile.phi(s) ** (n - 1)
 
     R = _cell_integrals(lambda s: 1.0 / wfun(s), r[:-1], r[1:])
     F = (g[1:] - g[:-1]) / R
     flux_left = np.concatenate(([0.0], F))
     flux_right = np.concatenate((F, [0.0]))
     m = _cell_integrals(wfun, np.maximum(r - dx / 2, 0.0),
-                        np.minimum(r + dx / 2, profile.L))
+                        np.minimum(r + dx / 2, grid.L))
     lap_g = (flux_right - flux_left) / m
     res = lap_g + eig * g
     return float(np.sqrt(np.sum(res * res * m)))
@@ -223,20 +223,19 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     vector minimizer against the scalar eigenvalue n*kappa2 (zero in
     the round equality case, where g is itself an eigenfunction).
     """
-    ensure_usable(profile)
     grid = grid_for(profile, N)
-    ricci = ricci_profile(profile, grid)
+    geom = orbit_geometry(profile, grid)
+    ricci = ricci_profile(geom)
     if ricci.kappa2 <= 0:
         raise ValueError(
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {ricci.kappa2:.6g}")
-    geom = orbit_geometry(profile, grid)
     mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom).lam
     vec = _solve(OperatorKind.ROUGH_VECTOR, geom)
     n = profile.n
     defect = abs(mu1 - n * ricci.kappa2)
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
-    g_res = _fv_scalar_residual(profile, grid, g, n * ricci.kappa2)
+    g_res = _fv_scalar_residual(geom, g, n * ricci.kappa2)
     return ObataReport(defect=defect, mu1=mu1, kappa2=ricci.kappa2,
                        g_residual=g_res, lambda_min=vec.lam, grid_N=N)
 

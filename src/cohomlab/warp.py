@@ -5,7 +5,7 @@ A profile describes a metric dr^2 + phi(r)^2 g_{S^{n-1}} on either
 or S^1 x S^{n-1} (periodic).  Smooth closure of a sphere-like profile
 requires phi(0) = phi(L) = 0 with phi'(0) = 1 and phi'(L) = -1; a
 periodic profile must match value and first two derivatives at the
-seam.  Profiles are immutable and safe to share across workers.
+seam.  Profiles are immutable; each keeps its validation report.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class WarpProfile:
     phi, dphi, d2phi accept and return numpy arrays (or floats).
     closure_tol separates modeling error from discretization error:
     analytic presets must close to 1e-10, sampled splines to 1e-6.
-    preset is the config preset type, params its (name, value) arguments.
     """
 
     n: int
@@ -46,8 +45,6 @@ class WarpProfile:
     d2phi: Callable
     preset_tag: str
     closure_tol: float = ANALYTIC_CLOSURE_TOL
-    preset: str = ""
-    params: tuple = ()
 
     def __post_init__(self):
         if self.n < 2:
@@ -176,7 +173,6 @@ def round_profile(k: float, n: int) -> WarpProfile:
         dphi=lambda r: np.cos(k * np.asarray(r, float)),
         d2phi=lambda r: -k * np.sin(k * np.asarray(r, float)),
         preset_tag=f"round(k={k!r})",
-        preset="round", params=(("k", k),),
     )
 
 
@@ -210,7 +206,6 @@ def bump_profile(eps: float, n: int) -> WarpProfile:
         dphi=dphi,
         d2phi=d2phi,
         preset_tag=f"bump(eps={eps!r})",
-        preset="bump", params=(("eps", eps),),
     )
 
 
@@ -231,7 +226,6 @@ def periodic_product_profile(c: float, a: float, n: int,
         dphi=lambda r: a * om * np.cos(om * np.asarray(r, float)),
         d2phi=lambda r: -a * om * om * np.sin(om * np.asarray(r, float)),
         preset_tag=f"periodic_product(c={c!r}, a={a!r})",
-        preset="periodic_product", params=(("c", c), ("a", a), ("L", L)),
     )
 
 
@@ -267,7 +261,6 @@ def profile_from_samples(r: Sequence[float], phi: Sequence[float], n: int,
         dphi=lambda x: d1(np.asarray(x, float) + r[0]),
         d2phi=lambda x: d2(np.asarray(x, float) + r[0]),
         preset_tag=f"samples(m={r.size})",
-        preset="samples",
         closure_tol=SPLINE_CLOSURE_TOL,
     )
 
@@ -285,10 +278,10 @@ class Preset:
     topology: Topology
 
     def check(self, names, path: str = "") -> None:
-        """Raise ValueError, naming path + name, on a non-parameter."""
+        """Raise ValueError on a non-parameter, naming path.format(it)."""
         for p in names:
-            if p not in self.defaults:
-                where = f"config path '{path}{p}': " if path else ""
+            if not (isinstance(p, str) and p in self.defaults):
+                where = f"config path '{path.format(p)}': " if path else ""
                 raise ValueError(
                     f"{where}preset {self.name!r} has no parameter {p!r} "
                     f"(it takes {', '.join(self.defaults)})")
@@ -388,7 +381,7 @@ def ensure_usable(profile: WarpProfile) -> None:
 # {"n": int >= 2, "topology": "sphere_like"|"periodic",
 #  "preset": {"type": <a PRESETS name>|"samples", <its parameters>},
 #  "grid": {"N": int >= MIN_GRID},
-#  "sweep": {"param": name, "values": [number]
+#  "sweep": {"param": a parameter of an analytic preset, "values": [number]
 #            | "start": number, "stop": number, "step": number},  (optional)
 #  "converge": {"grids": [int >= MIN_GRID]}}                       (optional)
 #
@@ -469,9 +462,12 @@ def sweep_range(section: dict, prefix: str = "sweep.") -> list:
 
 
 class Config(NamedTuple):
-    """A checked config document; sweep_values is None without a sweep."""
+    """A checked config document; params are the preset's ({} for
+    samples), sweep_values is None without a sweep."""
     profile: WarpProfile
     grid: RadialGrid
+    preset: str
+    params: dict
     sweep_param: str | None
     sweep_values: list | None
     converge_grids: list
@@ -491,6 +487,7 @@ def read_config(cfg) -> Config:
     topology = Topology(topo_name)
     preset = _cfg_get(cfg, "preset", "")
     ptype = _cfg_get(preset, "type", "preset.")
+    entry, params = PRESETS.get(str(ptype)), {}
     if ptype == "samples":
         _cfg_object(preset, "preset.", ("type", "r", "phi"))
         profile = profile_from_samples(
@@ -498,7 +495,6 @@ def read_config(cfg) -> Config:
             cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
             n=n, topology=topology)
     else:
-        entry = PRESETS.get(str(ptype))
         if entry is None:
             raise ValueError(
                 f"config path 'preset.type': unknown type {ptype!r}")
@@ -506,22 +502,26 @@ def read_config(cfg) -> Config:
             raise ValueError(
                 f"config path 'topology': preset {ptype!r} implies "
                 f"{entry.topology.value!r}, config says {topo_name!r}")
-        entry.check((k for k in preset if k != "type"), path="preset.")
-        profile = entry.builder(n=n, **{
+        entry.check((k for k in preset if k != "type"), path="preset.{}")
+        params = {
             p: _cfg_real(_cfg_get(preset, p, "preset.") if p in entry.required
                          else preset.get(p, default), f"preset.{p}")
-            for p, default in entry.defaults.items()})
+            for p, default in entry.defaults.items()}
+        profile = entry.builder(n=n, **params)
     N = cfg_int(_cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."), "grid.N")
     sweep = sections["sweep"]
     param = sweep.get("param")
-    if not isinstance(param, (str, type(None))):
-        raise ValueError(f"config path 'sweep.param': expected a parameter "
-                         f"name, got {param!r}")
+    if "sweep" in cfg and entry is None:
+        raise ValueError("config path 'sweep': a 'samples' preset has no "
+                         "parameter to sweep")
+    if param is not None:
+        entry.check([param], path="sweep.param")
     values = (cfg_list(sweep["values"], "sweep.values") if "values" in sweep
               else sweep_range(sweep) if "sweep" in cfg else None)
     grids = cfg_list(sections["converge"].get("grids", []), "converge.grids",
                      cfg_int)
-    return Config(profile, grid_for(profile, N), param, values, grids)
+    return Config(profile, grid_for(profile, N), ptype, params, param,
+                  values, grids)
 
 
 def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:

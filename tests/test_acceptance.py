@@ -106,9 +106,9 @@ def test_criterion_3_bump_gap():
 def test_criterion_3_small_eps_curvature_confirmed():
     for n in (2, 3):
         for eps in (0.05, 0.1):
-            ric = ricci_profile(make_preset("Bump", n=n, eps=eps),
-                                grid_for(make_preset("Bump", n=n, eps=eps),
-                                         4096))
+            ric = ricci_profile(orbit_geometry(
+                make_preset("Bump", n=n, eps=eps),
+                grid_for(make_preset("Bump", n=n, eps=eps), 4096)))
             assert ric.kappa2 > 0, (n, eps)
 
 
@@ -121,7 +121,7 @@ def test_criterion_3_large_eps_curvature_claim():
     for n in (2, 3):
         for eps in (0.2, 0.3):
             prof = make_preset("Bump", n=n, eps=eps)
-            ric = ricci_profile(prof, grid_for(prof, 4096))
+            ric = ricci_profile(orbit_geometry(prof, grid_for(prof, 4096)))
             assert ric.kappa2 > 0, (n, eps)
 
 
@@ -137,10 +137,9 @@ def _bochner_residual_at(prof, N):
     from cohomlab import bochner_residual
     grid = grid_for(prof, N)
     geom = orbit_geometry(prof, grid)
-    ric = ricci_profile(prof, grid)
     h = InvariantFunction(values=np.cos(math.pi * grid.nodes / prof.L),
                           grid=grid)
-    return bochner_residual(h, geom, ric)
+    return bochner_residual(h, geom)
 
 
 def test_criterion_4_bochner_identity():
@@ -156,7 +155,7 @@ def test_criterion_4_bochner_identity():
     prof = make_preset("Round", n=2, k=1.0)
     grid = grid_for(prof, 4096)
     geom = orbit_geometry(prof, grid)
-    ric = ricci_profile(prof, grid)
+    ric = ricci_profile(geom)
     h = np.cos(grid.nodes)
     f = derivative(h, grid, "even")[1:-1]
     fp = second_derivative(h, grid, "even")[1:-1]

@@ -197,6 +197,16 @@ def test_missing_config_is_exit_two(capsys):
     assert "error" in err and "\n" not in out.rstrip("\n")
 
 
+def test_invalid_json_config_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2,')
+    code = main(["verify", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"].startswith("config is not valid JSON")
+
+
 def test_config_error_names_path(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "topology": "sphere_like",
@@ -231,6 +241,13 @@ BAD_DOCUMENTS = [
                  "sweep.start", id="sweep-start-null"),
     pytest.param("sweep", {"sweep": {"param": ["k"], **_SWEEP}},
                  "sweep.param", id="sweep-param-list"),
+    pytest.param("verify", {"sweep": {"param": "x", **_SWEEP}},
+                 "sweep.param", id="sweep-param-unknown"),
+    pytest.param("sweep", {"preset": {"type": "samples",
+                                      "r": [0.0, 1.0, 2.0, 3.0],
+                                      "phi": [0.0, 1.0, 1.0, 0.0]},
+                           "sweep": _SWEEP},
+                 "sweep", id="sweep-of-samples"),
     pytest.param("sweep", {"sweep": {"start": 0.0, "stop": 1.0,
                                      "step": 1e-320}},
                  "sweep.step", id="sweep-step-overflows"),
@@ -277,6 +294,9 @@ BAD_DOCUMENTS = [
                  id="verify-half-grid-too-small"),
     pytest.param("sweep", {"grid": {"N": 65}, "sweep": _SWEEP}, "grid.N",
                  id="sweep-odd-N"),
+    pytest.param("sweep", {}, "sweep", id="sweep-without-section"),
+    pytest.param("converge", {}, "converge.grids",
+                 id="converge-without-grids"),
     pytest.param("spectrum --richardson", {"grid": {"N": 65}}, "grid.N",
                  id="richardson-odd-config-N"),
     pytest.param("spectrum --grid 129 --richardson", {}, "--grid",

@@ -9,7 +9,7 @@ from cohomlab import spectral
 from cohomlab import (InvariantField, InvariantFunction, Topology,
                       bochner_bound, bochner_residual, cauchy_schwarz_check,
                       derivative, energy_functional, grid_for, make_preset,
-                      orbit_geometry, reconstruct_potential, ricci_profile,
+                      orbit_geometry, reconstruct_potential,
                       second_derivative, solve_smallest, weighted_integral,
                       OperatorKind)
 from cohomlab.fields import radial_calculus
@@ -177,9 +177,8 @@ def test_bochner_residual_decays(round_setup):
     for N in (512, 1024):
         g = grid_for(p, N)
         geom = orbit_geometry(p, g)
-        ric = ricci_profile(p, g)
         h = InvariantFunction(values=np.cos(math.pi * g.nodes / p.L), grid=g)
-        vals.append(bochner_residual(h, geom, ric))
+        vals.append(bochner_residual(h, geom))
     assert vals[1] <= 1e-4
     assert vals[0] / vals[1] == pytest.approx(4.0, abs=0.6)
 
@@ -201,7 +200,7 @@ def test_radial_calculus_periodic(periodic_n3):
         lap_errs.append(float(np.max(np.abs(
             radial_calculus(h, geom)[2] - exact))))
         assert cauchy_schwarz_check(h, geom).min_value >= -g.dx ** 2
-        bochner.append(bochner_residual(h, geom, ricci_profile(p, g)))
+        bochner.append(bochner_residual(h, geom))
     assert lap_errs[1] <= 0.2 * (2 * math.pi / 512) ** 2
     assert lap_errs[0] / lap_errs[1] == pytest.approx(4.0, rel=0.1)
     assert bochner[1] <= 1e-5
@@ -212,20 +211,18 @@ def test_bochner_bound_below_energy(round_setup):
     # discrete form of the gradient lemma: the inequality holds up to
     # discretization tolerance, estimated by eigenvalue grid doubling
     p, grid, geom = round_setup
-    ric = ricci_profile(p, grid)
     lam_n = solve_smallest(p, OperatorKind.ROUGH_VECTOR, grid.N).lam
     lam_h = solve_smallest(p, OperatorKind.ROUGH_VECTOR, grid.N // 2).lam
     tol_disc = max(1e-8, abs(lam_n - lam_h))
     for j in (1, 2, 3):
         f = InvariantField(values=np.sin(j * math.pi * grid.nodes / p.L),
                            grid=grid)
-        assert energy_functional(f, geom) >= bochner_bound(f, geom, ric) \
+        assert energy_functional(f, geom) >= bochner_bound(f, geom) \
             - tol_disc
 
 
 def test_bochner_bound_tight_on_round_minimizer(round_setup):
     p, grid, geom = round_setup
-    ric = ricci_profile(p, grid)
     f = InvariantField(values=np.sin(grid.nodes), grid=grid)
-    assert bochner_bound(f, geom, ric) == pytest.approx(1.0, abs=1e-9)
+    assert bochner_bound(f, geom) == pytest.approx(1.0, abs=1e-9)
     assert energy_functional(f, geom) == pytest.approx(1.0, abs=1e-4)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import (Topology, grid_for, make_preset, orbit_geometry,
-                      periodic_product_profile, profile_from_samples,
-                      ricci_profile, round_profile)
+from cohomlab import (Topology, WarpProfile, check_bound, grid_for,
+                      make_preset, orbit_geometry, periodic_product_profile,
+                      profile_from_samples, ricci_profile, round_profile)
 
 
 def _setup(profile, N=512):
@@ -37,7 +37,7 @@ def test_round_ricci_is_constant():
         for k in (0.5, 1.0, 2.0):
             p = round_profile(k=k, n=n)
             grid = grid_for(p, 512)
-            ric = ricci_profile(p, grid)
+            ric = ricci_profile(orbit_geometry(p, grid))
             np.testing.assert_allclose(ric.ric_radial, (n - 1) * k * k,
                                        rtol=1e-9)
             np.testing.assert_allclose(ric.ric_tangential, (n - 1) * k * k,
@@ -50,13 +50,13 @@ def test_bump_kappa2_closed_form():
     for n in (2, 3):
         for eps in (0.05, 0.1, 0.2, 0.3):
             p = make_preset("Bump", n=n, eps=eps)
-            ric = ricci_profile(p, grid_for(p, 2048))
+            ric = ricci_profile(orbit_geometry(p, grid_for(p, 2048)))
             assert ric.kappa2 == pytest.approx(1.0 - 6.0 * eps, abs=1e-4)
 
 
 def test_flat_product_ricci():
     p = periodic_product_profile(c=1.0, a=0.0, n=3)
-    ric = ricci_profile(p, grid_for(p, 256))
+    ric = ricci_profile(orbit_geometry(p, grid_for(p, 256)))
     np.testing.assert_allclose(ric.ric_radial, 0.0, atol=1e-14)
     np.testing.assert_allclose(ric.ric_tangential, 1.0, atol=1e-14)
     assert ric.kappa2 == 0.0
@@ -68,7 +68,7 @@ def test_flat_product_ricci():
 def test_periodic_ric_min_nonpositive(c, frac, n):
     # at the minimum of phi, phi'' >= 0 forces ric_radial <= 0
     p = periodic_product_profile(c=c, a=c * frac, n=n)
-    ric = ricci_profile(p, grid_for(p, 256))
+    ric = ricci_profile(orbit_geometry(p, grid_for(p, 256)))
     assert ric.ric_min <= 1e-12
     assert ric.kappa2 <= 1e-12
 
@@ -88,18 +88,35 @@ def test_orbits_are_umbilic(kind, par, n):
 
 
 def test_curvature_scaling_covariance():
-    base = ricci_profile(round_profile(k=1.0, n=3),
-                         grid_for(round_profile(k=1.0, n=3), 512))
+    base = ricci_profile(orbit_geometry(
+        round_profile(k=1.0, n=3), grid_for(round_profile(k=1.0, n=3), 512)))
     for c in (0.5, 2.0, 3.0):
-        scaled = ricci_profile(round_profile(k=c, n=3),
-                               grid_for(round_profile(k=c, n=3), 512))
+        scaled = ricci_profile(orbit_geometry(
+            round_profile(k=c, n=3), grid_for(round_profile(k=c, n=3), 512)))
         assert scaled.kappa2 == pytest.approx(c * c * base.kappa2, rel=1e-6)
 
 
 def test_argmin_location_round():
     p = round_profile(k=1.0, n=2)
-    ric = ricci_profile(p, grid_for(p, 256))
+    ric = ricci_profile(orbit_geometry(p, grid_for(p, 256)))
     assert 0 < ric.argmin_r < p.L
+
+
+def test_nonfinite_ricci_is_refused():
+    # phi'' is NaN past 0.99 L, beyond validate's last probe at 31/32 L,
+    # so the profile is usable and only the Ricci arrays see the NaN
+    p = WarpProfile(n=2, topology=Topology.SPHERE_LIKE, L=math.pi,
+                    phi=np.sin, dphi=np.cos,
+                    d2phi=lambda r: np.where(np.asarray(r) > 0.99 * math.pi,
+                                             np.nan, -np.sin(r)),
+                    preset_tag="nan-tail")
+    assert p.validation.usable
+    # the first retained node past 0.99 L is node 254, entry 253
+    msg = "ric_radial is not finite at node 253 "
+    with pytest.raises(ValueError, match=msg):
+        ricci_profile(orbit_geometry(p, grid_for(p, 256)))
+    with pytest.raises(ValueError, match=msg):
+        check_bound(p, N=256)
 
 
 def test_midpoint_weights_avoid_pole_singularity():
@@ -124,7 +141,7 @@ def test_restrict_is_half_grid_geometry(name, N):
     half = orbit_geometry(p, grid_for(p, N)).restrict()
     ref = orbit_geometry(p, grid_for(p, N // 2))
     assert half.grid == ref.grid and half.n == ref.n
-    for attr in ("H", "B2", "w", "w_mid"):
+    for attr in ("H", "B2", "w", "w_mid", "phi", "dphi"):
         assert np.array_equal(getattr(half, attr), getattr(ref, attr)), attr
     with pytest.raises(ValueError, match="even"):
         orbit_geometry(p, grid_for(p, 2 * N + 1)).restrict()
