@@ -36,11 +36,15 @@ def _load_config(path: str) -> Config:
     """The config at path, checked whole by read_config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return read_config(json.load(fh))
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError("config is not valid JSON: nested too deeply") \
+            from None
+    return read_config(cfg)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:

@@ -26,7 +26,8 @@ import numpy as np
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
-from .spectral import OperatorKind, _coarse_to_fine, _solve
+from .spectral import (OperatorKind, _coarse_to_fine, _solve, assemble, dot,
+                       first_nonzero_scalar_eigenvalue)
 from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
@@ -89,10 +90,10 @@ class ObataReport:
     defect = |mu1 - n*kappa2| vanishes (numerically) only on round
     profiles.  g_residual checks the complementary fact that on a round
     profile the derivative g = f' of the vector minimizer is itself a
-    scalar eigenfunction: ||lap g + n*kappa2*g||_{L2(w)}, evaluated
-    with an exact-resistance finite-volume Laplacian (cell resistance
-    integral ds/w, node mass integral w; the pole cells have infinite
-    resistance, so the boundary fluxes vanish identically).
+    scalar eigenfunction of eigenvalue mu = n*kappa2: the dimensionless
+    ||K g - mu W g||_{W^-1} / (mu ||g||_W) with the scalar (K, W) that
+    gives mu1.  On Round it levels off near 1e-5 from N = 2^14 on (g
+    differentiates a computed eigenvector) instead of falling like dx^2.
     """
 
     defect: float
@@ -174,46 +175,6 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
 
 # --- Obata criterion -----------------------------------------------------
 
-_GLX, _GLW = np.polynomial.legendre.leggauss(8)
-
-
-def _cell_integrals(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integral of fn over each interval [a_i, b_i]."""
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    return (fn(mid + half * _GLX[None, :]) * _GLW[None, :]).sum(axis=1) \
-        * half[:, 0]
-
-
-def _fv_scalar_residual(geom: OrbitGeometry, g: np.ndarray,
-                        eig: float) -> float:
-    """||lap g + eig * g||_{L2(w)} with exact-resistance FV fluxes.
-
-    g is given at the interior nodes.  Fluxes between adjacent interior
-    nodes are (g_{j+1} - g_j) / R with R the resistance integral of
-    1/w over the gap; the gaps touching the poles have infinite
-    resistance (w vanishes like r^{n-1}), so those fluxes are zero and
-    the operator needs no boundary condition.  Node masses are the cell
-    integrals of w, which also serve as the L2(w) quadrature weights.
-    """
-    n, grid = geom.n, geom.grid
-    dx = grid.dx
-    r = grid.interior
-
-    def wfun(s):
-        return geom.profile.phi(s) ** (n - 1)
-
-    R = _cell_integrals(lambda s: 1.0 / wfun(s), r[:-1], r[1:])
-    F = (g[1:] - g[:-1]) / R
-    flux_left = np.concatenate(([0.0], F))
-    flux_right = np.concatenate((F, [0.0]))
-    m = _cell_integrals(wfun, np.maximum(r - dx / 2, 0.0),
-                        np.minimum(r + dx / 2, grid.L))
-    lap_g = (flux_right - flux_left) / m
-    res = lap_g + eig * g
-    return float(np.sqrt(np.sum(res * res * m)))
-
-
 def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     """First-eigenvalue criterion: mu1 = n*kappa2 detects the round sphere.
 
@@ -225,18 +186,20 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     """
     grid = grid_for(profile, N)
     geom = orbit_geometry(profile, grid)
-    ricci = ricci_profile(geom)
-    if ricci.kappa2 <= 0:
+    kappa2 = ricci_profile(geom).kappa2
+    if kappa2 <= 0:
         raise ValueError(
             f"Obata criterion needs kappa2 > 0; profile "
-            f"{profile.preset_tag!r} has kappa2 = {ricci.kappa2:.6g}")
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom).lam
+            f"{profile.preset_tag!r} has kappa2 = {kappa2:.6g}")
+    scalar = assemble(OperatorKind.SCALAR_LAPLACIAN, geom)
+    mu1 = first_nonzero_scalar_eigenvalue(scalar).lam
     vec = _solve(OperatorKind.ROUGH_VECTOR, geom)
-    n = profile.n
-    defect = abs(mu1 - n * ricci.kappa2)
+    mu = profile.n * kappa2
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
-    g_res = _fv_scalar_residual(geom, g, n * ricci.kappa2)
-    return ObataReport(defect=defect, mu1=mu1, kappa2=ricci.kappa2,
+    Wg = scalar.weight * g
+    res = scalar.matvec(g) - mu * Wg
+    g_res = math.sqrt(dot(res, res / scalar.weight) / dot(g, Wg)) / mu
+    return ObataReport(defect=abs(mu1 - mu), mu1=mu1, kappa2=kappa2,
                        g_residual=g_res, lambda_min=vec.lam, grid_N=N)
 
 

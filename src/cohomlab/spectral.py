@@ -449,7 +449,7 @@ def convergence_study(profile: WarpProfile, kind: OperatorKind,
     case such as the flat periodic product) the order is reported as
     exact (None).
     """
-    grids = [int(g) for g in grids]
+    grids = [RadialGrid.integral(g) for g in grids]
     if len(grids) < 3:
         raise ValueError("convergence study needs at least 3 grids")
     for a, b in zip(grids, grids[1:]):

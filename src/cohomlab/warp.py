@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -68,13 +69,21 @@ class RadialGrid:
     topology: Topology
 
     def __post_init__(self):
-        if self.N < MIN_GRID:
+        if self.integral(self.N) < MIN_GRID:
             raise ValueError(f"grid needs N >= {MIN_GRID}, got {self.N}")
 
     @staticmethod
+    def integral(N) -> int:
+        """int(N); N must be an integer (numpy integers pass, bool not)."""
+        if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+            raise ValueError(f"grid N must be an integer, got {N!r}")
+        return int(N)
+
+    @staticmethod
     def halvable(N: int, halvings: int = 1) -> int:
-        """N, refused unless every grid met while halving it that many
-        times is even with at least 2 * MIN_GRID nodes."""
+        """N, refused unless an integer and every grid met while halving
+        it that many times is even with at least 2 * MIN_GRID nodes."""
+        RadialGrid.integral(N)
         for j in range(halvings):
             if (N >> j) % 2 or N >> j < 2 * MIN_GRID:
                 got = N if j == 0 else f"{N} / {2 ** j} = {N >> j}"
@@ -150,7 +159,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    profile_tag: str
     checks: tuple
 
     @property
@@ -363,7 +371,7 @@ def validate(profile: WarpProfile) -> ValidationReport:
     checks.append(CheckResult("phi' consistent with phi", e1 <= 1e-6 * scale, e1))
     checks.append(CheckResult("phi'' consistent with phi'", e2 <= 1e-4 * scale, e2))
 
-    return ValidationReport(profile_tag=profile.preset_tag, checks=tuple(checks))
+    return ValidationReport(checks=tuple(checks))
 
 
 def ensure_usable(profile: WarpProfile) -> None:

@@ -207,6 +207,18 @@ def test_invalid_json_config_is_exit_two(tmp_path, capsys):
     assert json.loads(out)["error"].startswith("config is not valid JSON")
 
 
+def test_deeply_nested_config_is_exit_two(tmp_path, capsys):
+    # json's decoder recurses once per level; exit 1 would claim a violation
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main(["verify", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == ("config is not valid JSON: "
+                                        "nested too deeply")
+
+
 def test_config_error_names_path(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "topology": "sphere_like",

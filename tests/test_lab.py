@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,8 @@ def test_check_bound_needs_even_grid(round_n2, monkeypatch):
     for N in (333, 18, 20, 30):
         with pytest.raises(ValueError, match=f"even N >= 32, got {N}$"):
             check_bound(round_n2, N=N)
+    with pytest.raises(ValueError, match="integer, got 2048.0$"):
+        check_bound(round_n2, N=2048.0)
     assert calls == []
 
 
@@ -142,6 +145,7 @@ def test_obata_scaled_round():
 def test_obata_detects_off_round():
     rep = obata_check(make_preset("Bump", n=2, eps=0.1), N=1024)
     assert rep.defect > 1e-3  # an order above the detection band
+    assert rep.g_residual > 1e-2
 
 
 def test_obata_refuses_nonpositive_kappa2():
@@ -149,6 +153,34 @@ def test_obata_refuses_nonpositive_kappa2():
         obata_check(make_preset("Bump", n=2, eps=0.25), N=512)
     with pytest.raises(ValueError, match="kappa2"):
         obata_check(make_preset("PeriodicProduct", n=3, c=1.0, a=0.3), N=512)
+
+
+def test_obata_refuses_non_integer_grid(round_n2):
+    with pytest.raises(ValueError, match="integer, got 1024.0$"):
+        obata_check(round_n2, N=1024.0)
+
+
+@pytest.mark.parametrize("check", [check_bound, obata_check])
+def test_profile_read_once_per_grid(round_n2, check):
+    # phi on the nodes and midpoints of grid N (the half grid is a
+    # restriction), phi' and phi'' once each on its retained nodes
+    seen = {"phi": [], "dphi": [], "d2phi": []}
+
+    def counted(name):
+        fn = getattr(round_n2, name)
+        return lambda r: seen[name].append(np.array(r, float)) or fn(r)
+
+    prof = dataclasses.replace(round_n2, **{k: counted(k) for k in seen})
+    # the validation samples are not grid reads; reuse the original's
+    prof.__dict__["validation"] = round_n2.validation
+    check(prof, N=1024)
+    grid = grid_for(round_n2, 1024)
+    assert [r.size for r in seen["phi"]] == [1025, 1024]
+    np.testing.assert_array_equal(seen["phi"][0], grid.nodes)
+    np.testing.assert_array_equal(seen["phi"][1], grid.midpoints)
+    for name in ("dphi", "d2phi"):
+        assert len(seen[name]) == 1
+        np.testing.assert_array_equal(seen[name][0], grid.interior)
 
 
 def test_sweep_rows_ordered_and_complete():

@@ -308,6 +308,11 @@ def test_richardson_odd_grid_fails_before_solving(round_n2, monkeypatch):
                            richardson=True)
     with pytest.raises(ValueError, match="even N >= 32, got 32 / 2 = 16$"):
         convergence_study(round_n2, OperatorKind.ROUGH_VECTOR, [8, 16, 32])
+    # each entry is checked, not truncated or parsed by int()
+    for bad in (64.9, "64"):
+        with pytest.raises(ValueError, match=f"integer, got {bad!r}$"):
+            convergence_study(round_n2, OperatorKind.ROUGH_VECTOR,
+                              [bad, 128, 256])
     assert calls == []
 
 

@@ -134,6 +134,13 @@ def test_grid_minimum_size():
     p = round_profile(k=1.0, n=2)
     with pytest.raises(ValueError):
         grid_for(p, MIN_GRID // 2)
+    # grid_for(p, 100.7) would build 102 nodes, the last one past L
+    for N in (100.7, 64.0, True, "64"):
+        with pytest.raises(ValueError, match=f"integer, got {N!r}$"):
+            grid_for(p, N)
+        with pytest.raises(ValueError, match=f"integer, got {N!r}$"):
+            warp.RadialGrid.halvable(N)
+    assert grid_for(p, np.int64(64)).nodes.size == 65
 
 
 def test_config_errors_name_paths():
