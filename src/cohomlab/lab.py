@@ -169,7 +169,7 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     return TheoremReport(kappa2=kappa2, lambda_min=fine.lam, gap=gap,
                          bound_holds=bound_holds, rigidity=rigid,
                          obata_mu1=mu1, verdict=verdict, tol_disc=tol_disc,
-                         tol_rigid=tol_rigid, grid_N=N, n=n,
+                         tol_rigid=tol_rigid, grid_N=geom.grid.N, n=n,
                          profile_tag=profile.preset_tag)
 
 
@@ -200,7 +200,7 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     res = scalar.matvec(g) - mu * Wg
     g_res = math.sqrt(dot(res, res / scalar.weight) / dot(g, Wg)) / mu
     return ObataReport(defect=abs(mu1 - mu), mu1=mu1, kappa2=kappa2,
-                       g_residual=g_res, lambda_min=vec.lam, grid_N=N)
+                       g_residual=g_res, lambda_min=vec.lam, grid_N=grid.N)
 
 
 # --- parameter sweeps ----------------------------------------------------

@@ -25,7 +25,8 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .fields import InvariantField, InvariantFunction
 from .geometry import OrbitGeometry, orbit_geometry
@@ -38,9 +39,10 @@ BACKWARD_TOL = 1e-15
 # which that backward error is checked
 CHANGE_TOL = 1e-12
 # shift sigma = -SHIFT * max(1, |lam_0|).  K - sigma W must stay
-# numerically definite.  On the Neumann problem the constant mode
-# gives it an eigenvalue of about |sigma| w dx against ||K|| ~ 4 w / dx,
-# and the ratio |sigma| dx^2 / 4 must stay well above machine epsilon:
+# numerically definite: every pivot of its L D L^T factor (dpttrf)
+# positive.  On the Neumann problem the constant mode gives it an
+# eigenvalue of about |sigma| w dx against ||K|| ~ 4 w / dx, and the
+# ratio |sigma| dx^2 / 4 must stay well above machine epsilon:
 # a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 MAX_ITER = 200
@@ -195,35 +197,58 @@ def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     return op.quadform(x) / den
 
 
-# --- banded solves -------------------------------------------------------
+# --- tridiagonal solves --------------------------------------------------
+
+def cholesky_banded(d: np.ndarray, e: np.ndarray) -> tuple:
+    """L D L^T factor (LAPACK dpttrf) of the symmetric tridiagonal with
+    diagonal d and off-diagonal e, computed in place over both arrays,
+    which the caller must own.  LinAlgError if a pivot is not positive.
+    perfbench traces this function under this name (spectral.factor).
+    """
+    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of dpttrf")
+    return d, e
+
+
+def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """x with (L D L^T) x = b for factor = (d, e) from cholesky_banded
+    (LAPACK dpttrs); b is left as it is.  perfbench traces this function
+    under this name (spectral.solve)."""
+    x, info = dpttrs(*factor, b)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of dpttrs")
+    return x
+
 
 def _factor(op: DiscreteOperator, sigma: float):
-    """Cholesky factor of K - sigma W (cyclic corner handled separately).
+    """Solver for K - sigma W from its tridiagonal L D L^T factor.
 
     For the periodic case K_c = T' + c u u^T with u = e_0 + e_{M-1} and
-    c = -cond[-1] < 0 the wrap-around entry, so T' = K_c - c u u^T stays positive definite and a
-    single Sherman-Morrison correction recovers the cyclic solve.
+    c = -cond[-1] < 0 the wrap-around entry, so T' = K_c - c u u^T
+    stays positive definite and a single Sherman-Morrison correction
+    recovers the cyclic solve.
     """
     periodic, cond = op._periodic, op.cond
-    # Fortran order lets LAPACK factor ab in place
-    ab = np.empty((2, op.size), order="F")
-    ab[0, 0] = 0.0
-    ab[0, 1:] = -(cond[:-1] if periodic else cond[1:-1])
-    # diag is summed before it meets -sigma W: adding its two terms to ab
-    # one at a time rounds differently and moves printed last digits
-    diag = op._node_cond()
+    # the diagonal is summed before it meets -sigma W: adding its two
+    # terms to -sigma W one at a time rounds differently and moves
+    # printed last digits.  d and e are fresh arrays: the factor
+    # overwrites them, and a view of cond would corrupt the operator
+    d = op._node_cond()
     if op.potential is not None:
-        diag += op.potential
-    np.multiply(op.weight, -sigma, out=ab[1])
-    ab[1] += diag
+        d += op.potential
+    d += op.weight * -sigma
+    e = -(cond[:-1] if periodic else cond[1:-1])
     if periodic:
         corner = float(-cond[-1])
-        ab[1, 0] -= corner
-        ab[1, -1] -= corner
-    cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        d[0] -= corner
+        d[-1] -= corner
+    factor = cholesky_banded(d, e)
 
     def chol_solve(b):
-        return cho_solve_banded((cb, False), b, check_finite=False)
+        return cho_solve_banded(factor, b)
 
     if not periodic:
         return chol_solve

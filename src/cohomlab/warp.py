@@ -69,7 +69,9 @@ class RadialGrid:
     topology: Topology
 
     def __post_init__(self):
-        if self.integral(self.N) < MIN_GRID:
+        # stored as a Python int, so that reports carrying N dump as JSON
+        object.__setattr__(self, "N", self.integral(self.N))
+        if self.N < MIN_GRID:
             raise ValueError(f"grid needs N >= {MIN_GRID}, got {self.N}")
 
     @staticmethod

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -158,6 +159,18 @@ def test_obata_refuses_nonpositive_kappa2():
 def test_obata_refuses_non_integer_grid(round_n2):
     with pytest.raises(ValueError, match="integer, got 1024.0$"):
         obata_check(round_n2, N=1024.0)
+
+
+def test_numpy_grid_size_reports_dump_as_json(round_n2):
+    # a numpy integer N is kept as a Python int on the grid, so every
+    # report that carries grid_N serializes
+    N = np.int64(256)
+    reports = (check_bound(round_n2, N=N), obata_check(round_n2, N=N),
+               spectral.solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR,
+                                       N))
+    for report in reports:
+        assert json.loads(json.dumps(report.grid_N)) == 256
+    assert type(grid_for(round_n2, N).N) is int
 
 
 @pytest.mark.parametrize("check", [check_bound, obata_check])

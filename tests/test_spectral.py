@@ -55,6 +55,29 @@ def test_factor_matches_dense_solve(request, profile, kind):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("profile", ["round_n2", "periodic_n3"])
+def test_factor_refuses_indefinite_shift(request, profile, kind):
+    # sigma = 50 lies above the lowest eigenvalues, so K - sigma W is
+    # indefinite and the factor's pivot check must say so
+    op, _, _ = _op(request.getfixturevalue(profile), kind, 64)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral._factor(op, sigma=50.0)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("profile", ["round_n2", "periodic_n3"])
+def test_factor_leaves_operator_alone(request, profile, kind):
+    # the LAPACK factor works in place: it must get fresh arrays, never
+    # a view of the operator's own
+    op, _, _ = _op(request.getfixturevalue(profile), kind, 64)
+    arrays = [a for a in (op.cond, op.potential, op.weight) if a is not None]
+    before = [a.copy() for a in arrays]
+    spectral._factor(op, -0.3)(np.ones(op.size))
+    for a, saved in zip(arrays, before):
+        assert np.array_equal(a, saved)
+
+
 def test_mass_is_positive(round_n2, periodic_n3):
     for prof in (round_n2, periodic_n3):
         for kind in OperatorKind:
