@@ -26,8 +26,8 @@ import numpy as np
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
-from .spectral import (OperatorKind, _coarse_to_fine, _solve, assemble, dot,
-                       first_nonzero_scalar_eigenvalue)
+from .spectral import (OperatorKind, _coarse_start, _coarse_to_fine, _solve,
+                       assemble, dot, first_nonzero_scalar_eigenvalue)
 from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
@@ -192,7 +192,8 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {kappa2:.6g}")
     scalar = assemble(OperatorKind.SCALAR_LAPLACIAN, geom)
-    mu1 = first_nonzero_scalar_eigenvalue(scalar).lam
+    mu1 = first_nonzero_scalar_eigenvalue(
+        scalar, start=_coarse_start(OperatorKind.SCALAR_LAPLACIAN, geom)).lam
     vec = _solve(OperatorKind.ROUGH_VECTOR, geom)
     mu = profile.n * kappa2
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))

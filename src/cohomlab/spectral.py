@@ -46,6 +46,10 @@ CHANGE_TOL = 1e-12
 # a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 MAX_ITER = 200
+# a geometry-level solve on N >= 8 * COARSE_N nodes with no start
+# begins on the coarsest grid of N's halving chain with at least
+# COARSE_N nodes (_coarse_start); smaller grids keep the analytic seed
+COARSE_N = 4096
 # numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
 # threaded ddot, whose worker threads then spin on the other cores for
 # about 0.1 s after every call; blocks of this size stay single-threaded
@@ -266,25 +270,24 @@ def _factor(op: DiscreteOperator, sigma: float):
     return solve
 
 
+def _parity(kind: OperatorKind) -> str:
+    """How an eigenfunction continues past a pole: fields odd, functions
+    even (RadialGrid.ghosted)."""
+    return "odd" if kind is OperatorKind.ROUGH_VECTOR else "even"
+
+
 def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
-    """Deterministic start: the 4-point cubic interpolant of start (an
-    eigenfunction on the half grid) if given, else the grid's lowest
-    mode, nonconstant when deflating (fields odd, functions even)."""
+    """Deterministic start: start (an eigenfunction on the half grid)
+    carried onto this grid by RadialGrid.prolong if given, else the
+    grid's lowest mode, nonconstant when deflating (fields odd,
+    functions even)."""
     grid = op.grid
-    parity = "odd" if op.kind is OperatorKind.ROUGH_VECTOR else "even"
+    parity = _parity(op.kind)
     if start is None:
         return grid.lowest_mode(parity, nonconstant=deflate_constants)
     if start.grid != grid.half():
         raise ValueError("start must be an eigenfunction on the half grid")
-    # even nodes are the half grid's, each odd one the cubic (-v[j-1] +
-    # 9 v[j] + 9 v[j+1] - v[j+2]) / 16 through the nearest four, ghosted
-    v = start.values
-    ext = start.grid.ghosted(v, parity)
-    mid = (9.0 * (ext[1:-2] + ext[2:-1]) - ext[:-3] - ext[3:]) / 16.0
-    x = np.empty(v.size + mid.size)
-    x[::2] = v
-    x[1::2] = mid
-    return grid.retained(x)
+    return grid.retained(start.grid.prolong(start.values, parity))
 
 
 def _fix_sign(x: np.ndarray) -> None:
@@ -414,8 +417,40 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
         op, max_iter, deflate_constants=True, start=start))
 
 
+def _coarse_start(kind: OperatorKind, geom: OrbitGeometry):
+    """Start on geom's half grid for a cold solve on geom's grid (nested
+    iteration), or None for the analytic seed.
+
+    The coarse grid is the last of geom's halving chain (even grids
+    halved, through OrbitGeometry.restrict) with at least COARSE_N
+    nodes; it must lie at least three halvings down, so below
+    8 * COARSE_N nodes there is none.  Its eigenfunction, solved from
+    the analytic seed, is carried up to the half grid by
+    RadialGrid.prolong.  If that coarse solve does not converge, the
+    fine solve keeps the analytic seed, so it fails nowhere a cold
+    solve succeeds.
+    """
+    geoms = [geom]
+    while geoms[-1].grid.N % 2 == 0 and geoms[-1].grid.N // 2 >= COARSE_N:
+        geoms.append(geoms[-1].restrict())
+    if len(geoms) < 4:
+        return None
+    try:
+        coarse = _solve(kind, geoms[-1]).eigenfunction
+    except ConvergenceError:
+        return None
+    values = coarse.values
+    for g in reversed(geoms[2:]):
+        values = g.grid.prolong(values, _parity(kind))
+    return replace(coarse, values=values, grid=geoms[1].grid)
+
+
 def _solve(kind: OperatorKind, geom: OrbitGeometry,
            start=None) -> SpectralResult:
+    """Eigenpair of kind on geom's grid, started from start (on the half
+    grid) or else from _coarse_start's."""
+    if start is None:
+        start = _coarse_start(kind, geom)
     oper = assemble(kind, geom)
     if kind is OperatorKind.SCALAR_LAPLACIAN:
         return first_nonzero_scalar_eigenvalue(oper, start=start)
@@ -426,9 +461,10 @@ def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
                     levels: int) -> tuple:
     """(eigenvalues coarse to fine, result at N, geometry at N) on the
     grids N / 2^(levels-1), ..., N / 2, N, each solve started from the
-    eigenfunction of the one before (nested iteration).  The profile is
-    evaluated on grid N only; coarser geometries are restricted, so an N
-    that cannot be halved levels - 1 times is refused before that."""
+    eigenfunction of the one before (nested iteration), the first from
+    _coarse_start's.  The profile is evaluated on grid N only; coarser
+    geometries are restricted, so an N that cannot be halved levels - 1
+    times is refused before that."""
     RadialGrid.halvable(N, levels - 1)
     geoms = [orbit_geometry(profile, grid_for(profile, N))]
     while len(geoms) < levels:

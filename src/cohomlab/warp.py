@@ -108,6 +108,19 @@ class RadialGrid:
         s = -1.0 if parity == "odd" else 1.0
         return np.concatenate(((s * v[1],), v, (s * v[-2],)))
 
+    def prolong(self, values, parity: str) -> np.ndarray:
+        """values at every node, carried to every node of the grid with
+        2 N cells: the even nodes are these, each odd one the 4-point
+        cubic (-v[j-1] + 9 v[j] + 9 v[j+1] - v[j+2]) / 16 through the
+        nearest four, past a pole or the seam those of ghosted."""
+        v = np.asarray(values, float)
+        ext = self.ghosted(v, parity)
+        mid = (9.0 * (ext[1:-2] + ext[2:-1]) - ext[:-3] - ext[3:]) / 16.0
+        x = np.empty(v.size + mid.size)
+        x[::2] = v
+        x[1::2] = mid
+        return x
+
     def lowest_mode(self, parity: str, nonconstant: bool = False):
         """The lowest (or lowest nonconstant) mode of -d^2/dr^2 that
         ghosted(values, parity) continues, at the retained nodes: a half

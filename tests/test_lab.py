@@ -84,6 +84,40 @@ def test_sweep_refuses_grid_without_half_grid_before_any_row(monkeypatch, N):
     assert calls == []
 
 
+def _solve_sizes(monkeypatch):
+    """Grid size of every inverse iteration from now on."""
+    seen = []
+    iterate = spectral._inverse_iterate
+    monkeypatch.setattr(spectral, "_inverse_iterate",
+                        lambda op, *a, **k: seen.append(op.grid.N)
+                        or iterate(op, *a, **k))
+    return seen
+
+
+@pytest.mark.parametrize("N, sizes", [
+    (2 ** 14, [2 ** 13, 2 ** 14, 2 ** 14]),
+    (2 ** 15, [2 ** 14, 2 ** 15, 2 ** 12, 2 ** 15]),
+    (2 ** 16, [2 ** 12, 2 ** 15, 2 ** 16, 2 ** 12, 2 ** 16]),
+])
+def test_check_bound_solves_coarse_grids_from_two_to_the_fifteen(
+        round_n2, monkeypatch, N, sizes):
+    # the vector pair N/2 -> N, then mu1; a solve with no start on at
+    # least 8 * COARSE_N nodes first solves a grid of 4096..8191 nodes
+    seen = _solve_sizes(monkeypatch)
+    check_bound(round_n2, N=N)
+    assert seen == sizes
+
+
+def test_obata_mu1_is_check_bounds(bump01_n2, monkeypatch):
+    # obata_check solves its own scalar operator, from the same coarse
+    # start as check_bound's mu1 (and _solve's for the vector kind)
+    N = 2 ** 15
+    mu1 = check_bound(bump01_n2, N=N).obata_mu1
+    seen = _solve_sizes(monkeypatch)
+    assert obata_check(bump01_n2, N=N).mu1 == pytest.approx(mu1, rel=1e-12)
+    assert seen == [N // 8, N] * 2
+
+
 def test_rigidity_residuals_vanish_on_round(round_n3):
     prev = None
     for N in (512, 1024, 2048):
@@ -173,10 +207,12 @@ def test_numpy_grid_size_reports_dump_as_json(round_n2):
     assert type(grid_for(round_n2, N).N) is int
 
 
+@pytest.mark.parametrize("N", [1024, 2 ** 15])
 @pytest.mark.parametrize("check", [check_bound, obata_check])
-def test_profile_read_once_per_grid(round_n2, check):
-    # phi on the nodes and midpoints of grid N (the half grid is a
-    # restriction), phi' and phi'' once each on its retained nodes
+def test_profile_read_once_per_grid(round_n2, check, N):
+    # phi on the nodes and midpoints of grid N (the half grid and, from
+    # N = 2^15 on, the coarse start's grid are restrictions), phi' and
+    # phi'' once each on its retained nodes
     seen = {"phi": [], "dphi": [], "d2phi": []}
 
     def counted(name):
@@ -186,9 +222,9 @@ def test_profile_read_once_per_grid(round_n2, check):
     prof = dataclasses.replace(round_n2, **{k: counted(k) for k in seen})
     # the validation samples are not grid reads; reuse the original's
     prof.__dict__["validation"] = round_n2.validation
-    check(prof, N=1024)
-    grid = grid_for(round_n2, 1024)
-    assert [r.size for r in seen["phi"]] == [1025, 1024]
+    check(prof, N=N)
+    grid = grid_for(round_n2, N)
+    assert [r.size for r in seen["phi"]] == [N + 1, N]
     np.testing.assert_array_equal(seen["phi"][0], grid.nodes)
     np.testing.assert_array_equal(seen["phi"][1], grid.midpoints)
     for name in ("dphi", "d2phi"):

@@ -15,7 +15,8 @@ from cohomlab import (ConvergenceError, InvariantField,
                       InvariantFunction, OperatorKind, Topology, assemble,
                       convergence_study, energy_functional,
                       first_nonzero_scalar_eigenvalue, grid_for, make_preset,
-                      orbit_geometry, smallest_eigenpair, solve_smallest)
+                      orbit_geometry, profile_from_samples,
+                      smallest_eigenpair, solve_smallest)
 
 
 def _op(profile, kind, N=512):
@@ -193,6 +194,82 @@ def test_coarse_start_matches_seed(name, n, kind, N):
     assert max(warm.residual, cold.residual) <= 1e-15
     if N == 2 ** 15:
         assert warm.iterations == 1
+
+
+def _cold(kind, geom):
+    """The op-level solve from the analytic seed."""
+    op = assemble(kind, geom)
+    if kind is OperatorKind.ROUGH_VECTOR:
+        return smallest_eigenpair(op)
+    return first_nonzero_scalar_eigenvalue(op)
+
+
+@pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("name", sorted(_FINE_PROFILES))
+def test_cold_fine_solve_starts_on_the_coarse_grid(name, n, kind, N):
+    # from N = 8 * COARSE_N on, a solve without a start begins on a grid
+    # of 4096..8191 nodes, whose eigenfunction, carried up by the cubic,
+    # leaves the N solve a single step (the analytic seed takes 5-12
+    # off the round sphere)
+    spec = dict(_FINE_PROFILES[name], n=n)
+    prof = make_preset(spec.pop("family"), **spec)
+    geom = orbit_geometry(prof, grid_for(prof, N))
+    warm, cold = spectral._solve(kind, geom), _cold(kind, geom)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
+    assert warm.residual <= 1e-15
+    assert warm.iterations == 1
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])
+def test_failed_coarse_solve_falls_back_to_the_seed(kind, N, monkeypatch):
+    # a coarse solve that raises ConvergenceError leaves the fine solve
+    # exactly the cold one, so it fails nowhere a cold solve succeeds
+    bump = make_preset("Bump", n=3, eps=0.08)
+    geom = orbit_geometry(bump, grid_for(bump, N))
+    cold = _cold(kind, geom)
+    sizes = []
+    iterate = spectral._inverse_iterate
+
+    def coarse_fails(op, *a, **k):
+        sizes.append(op.grid.N)
+        if op.grid.N < 8 * spectral.COARSE_N:
+            raise ConvergenceError("forced", last_residual=1.0)
+        return iterate(op, *a, **k)
+
+    monkeypatch.setattr(spectral, "_inverse_iterate", coarse_fails)
+    res = spectral._solve(kind, geom)
+    assert sizes == [N // 8, N]
+    assert (res.lam, res.iterations, res.residual) \
+        == (cold.lam, cold.iterations, cold.residual)
+    np.testing.assert_array_equal(res.eigenfunction.values,
+                                  cold.eigenfunction.values)
+
+
+def _phase_trap(p):
+    r = np.linspace(0.0, 2 * math.pi, 129)
+    phi = 1.0 + 0.3 * np.sin(r + p)
+    phi[-1] = phi[0]
+    return profile_from_samples(r, phi, 3, topology=Topology.PERIODIC)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0, math.pi / 2])
+def test_coarse_start_keeps_the_seed_eigenvalue_on_the_phase_trap(p):
+    # phi = 1 + 0.3 sin(r + p) has mu1 = 1.01540 and mu2 = 1.11159 with
+    # a rate near 0.91 between them: the cold solve takes 11-151 steps
+    # at 2^15 and the coarse one up to 197 of MAX_ITER at 4096.  The
+    # coarse start stays in the seed's parity class, so at p = pi/2
+    # both return mu2 (ROADMAP item 8), not one of each
+    prof = _phase_trap(p)
+    N = 2 ** 15
+    geom = orbit_geometry(prof, grid_for(prof, N))
+    cold = _cold(OperatorKind.SCALAR_LAPLACIAN, geom)
+    warm = solve_smallest(prof, OperatorKind.SCALAR_LAPLACIAN, N)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
+    mu = 1.11159 if p == math.pi / 2 else 1.01540
+    assert warm.lam == pytest.approx(mu, abs=1e-5)
 
 
 def test_fine_solve_stays_on_one_core(package_env):

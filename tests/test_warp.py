@@ -117,6 +117,32 @@ def test_ghosted_reflects_at_poles_and_wraps_on_a_circle():
                                   np.r_[15.0, w, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("parity, power", [("odd", 3), ("even", 2)])
+def test_prolong_is_exact_on_cubics_across_the_poles(parity, power):
+    # (r - p)^3 is odd and (r - p)^2 even about a pole p, so the ghost
+    # values are exact and the 4-point cubic reproduces them on the
+    # half of the doubled grid next to that pole, first midpoint included
+    g = grid_for(round_profile(k=1.0, n=2), 32)
+    fine = np.arange(2 * g.N + 1) * (g.dx / 2)
+    for pole, side in ((0.0, slice(None, g.N + 1)), (g.L, slice(g.N, None))):
+        x = g.prolong((g.nodes - pole) ** power, parity)
+        assert x.shape == fine.shape
+        np.testing.assert_allclose(x[side], (fine[side] - pole) ** power,
+                                   rtol=0, atol=1e-14)
+
+
+def test_prolong_on_a_circle_is_fourth_order():
+    err = []
+    for N in (32, 64, 128):
+        g = grid_for(periodic_product_profile(c=1.0, a=0.2, n=3), N)
+        x = g.prolong(np.cos(2 * math.pi * g.nodes / g.L), "even")
+        fine = np.arange(2 * N) * (g.dx / 2)
+        assert x.shape == fine.shape
+        err.append(np.max(np.abs(x - np.cos(2 * math.pi * fine / g.L))))
+    for coarse, finer in zip(err, err[1:]):
+        assert math.log2(coarse / finer) == pytest.approx(4.0, abs=0.1)
+
+
 def test_grid_shapes():
     p = round_profile(k=1.0, n=2)
     g = grid_for(p, 64)
