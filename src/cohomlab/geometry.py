@@ -84,13 +84,34 @@ def _require_finite(profile: WarpProfile, **arrays) -> None:
                 f"(profile {profile.preset_tag})")
 
 
+def _require_positive(profile: WarpProfile, grid: RadialGrid,
+                      phi: np.ndarray, phi_mid: np.ndarray) -> None:
+    """phi > 0 at the retained nodes and at the cell midpoints (a NaN
+    passes here and is named by _require_finite)."""
+    first = 0 if grid.topology is Topology.PERIODIC else 1
+    for at, values, offset in (("node", phi, first),
+                               ("the midpoint after node", phi_mid, 0)):
+        bad = np.flatnonzero(values <= 0)
+        if bad.size:
+            raise ValueError(
+                f"phi = {values[bad[0]]:.3g} is not positive at {at} "
+                f"{bad[0] + offset} (profile {profile.preset_tag})")
+
+
 def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
-    """The one evaluation of phi and phi' on grid's nodes, all finite."""
+    """The one evaluation of phi and phi' on grid's nodes: phi positive
+    at every retained node and midpoint, everything finite."""
     ensure_usable(profile)
     n = profile.n
     r = grid.nodes
     phi_nodes = np.asarray(profile.phi(r), float)
     phi = grid.retained(phi_nodes)
+    # half-node weights: evaluating phi at cell midpoints sidesteps the
+    # coordinate singularity without special-casing the pole cells
+    phi_mid = np.asarray(profile.phi(grid.midpoints), float)
+    _require_positive(profile, grid, phi, phi_mid)
+    w_mid = phi_mid ** (n - 1)
+    del phi_mid  # checked and spent: freed before the arrays below
     dphi = np.asarray(profile.dphi(grid.retained(r)), float)
     quot = dphi / phi
     H = -quot
@@ -100,9 +121,6 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
         # poles carry zero weight exactly, whatever roundoff phi(L) left
         w[0] = 0.0
         w[-1] = 0.0
-    # half-node weights: evaluating phi at cell midpoints sidesteps the
-    # coordinate singularity without special-casing the pole cells
-    w_mid = np.asarray(profile.phi(grid.midpoints), float) ** (n - 1)
     _require_finite(profile, H=H, B2=B2, w=w, w_mid=w_mid)
     return OrbitGeometry(H=H, B2=B2, w=w, w_mid=w_mid, phi=phi, dphi=dphi,
                          grid=grid, profile=profile)

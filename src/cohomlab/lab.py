@@ -26,8 +26,7 @@ import numpy as np
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
-from .spectral import (OperatorKind, _coarse_start, _coarse_to_fine, _solve,
-                       assemble, dot, first_nonzero_scalar_eigenvalue)
+from .spectral import OperatorKind, _coarse_to_fine, _solve, dot
 from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
@@ -148,7 +147,7 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
     kappa2 = ricci_profile(geom).kappa2
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom).lam
+    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom)[1].lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
     gap = fine.lam - kappa2
@@ -191,10 +190,9 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
         raise ValueError(
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {kappa2:.6g}")
-    scalar = assemble(OperatorKind.SCALAR_LAPLACIAN, geom)
-    mu1 = first_nonzero_scalar_eigenvalue(
-        scalar, start=_coarse_start(OperatorKind.SCALAR_LAPLACIAN, geom)).lam
-    vec = _solve(OperatorKind.ROUGH_VECTOR, geom)
+    # the scalar eigenfunction is not kept, only mu1 and the operator
+    [mu1], scalar = _solve(OperatorKind.SCALAR_LAPLACIAN, geom)[::2]
+    vec = _solve(OperatorKind.ROUGH_VECTOR, geom)[1]
     mu = profile.n * kappa2
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
     Wg = scalar.weight * g

@@ -46,9 +46,9 @@ CHANGE_TOL = 1e-12
 # a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 MAX_ITER = 200
-# a geometry-level solve on N >= 8 * COARSE_N nodes with no start
-# begins on the coarsest grid of N's halving chain with at least
-# COARSE_N nodes (_coarse_start); smaller grids keep the analytic seed
+# _solve starts the coarsest grid it solves, when that has at least
+# 8 * COARSE_N nodes, from the last grid of its halving chain with at
+# least COARSE_N nodes; smaller grids keep the analytic seed
 COARSE_N = 4096
 # numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
 # threaded ddot, whose worker threads then spin on the other cores for
@@ -417,64 +417,58 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
         op, max_iter, deflate_constants=True, start=start))
 
 
-def _coarse_start(kind: OperatorKind, geom: OrbitGeometry):
-    """Start on geom's half grid for a cold solve on geom's grid (nested
-    iteration), or None for the analytic seed.
+def _solve(kind: OperatorKind, geom: OrbitGeometry, levels: int = 1) -> tuple:
+    """(eigenvalues coarse to fine, result, operator) of kind on geom's
+    grid and the levels - 1 grids below it, each solve started from the
+    eigenfunction of the one before (nested iteration).
 
-    The coarse grid is the last of geom's halving chain (even grids
-    halved, through OrbitGeometry.restrict) with at least COARSE_N
-    nodes; it must lie at least three halvings down, so below
-    8 * COARSE_N nodes there is none.  Its eigenfunction, solved from
-    the analytic seed, is carried up to the half grid by
-    RadialGrid.prolong.  If that coarse solve does not converge, the
-    fine solve keeps the analytic seed, so it fails nowhere a cold
-    solve succeeds.
+    geom's halving chain (OrbitGeometry.restrict) is built once and runs
+    on below the coarsest level while it keeps at least COARSE_N nodes.
+    If it reaches three halvings further down, its last grid is solved
+    from the analytic seed and carried up by RadialGrid.prolong to start
+    the coarsest level; otherwise, or if that solve does not converge,
+    the coarsest level keeps the analytic seed, so no solve fails where
+    a cold one succeeds.
     """
-    geoms = [geom]
-    while geoms[-1].grid.N % 2 == 0 and geoms[-1].grid.N // 2 >= COARSE_N:
-        geoms.append(geoms[-1].restrict())
-    if len(geoms) < 4:
-        return None
-    try:
-        coarse = _solve(kind, geoms[-1]).eigenfunction
-    except ConvergenceError:
-        return None
-    values = coarse.values
-    for g in reversed(geoms[2:]):
-        values = g.grid.prolong(values, _parity(kind))
-    return replace(coarse, values=values, grid=geoms[1].grid)
-
-
-def _solve(kind: OperatorKind, geom: OrbitGeometry,
-           start=None) -> SpectralResult:
-    """Eigenpair of kind on geom's grid, started from start (on the half
-    grid) or else from _coarse_start's."""
-    if start is None:
-        start = _coarse_start(kind, geom)
-    oper = assemble(kind, geom)
-    if kind is OperatorKind.SCALAR_LAPLACIAN:
-        return first_nonzero_scalar_eigenvalue(oper, start=start)
-    return smallest_eigenpair(oper, start=start)
+    chain = [geom]
+    while len(chain) < levels or (chain[-1].grid.N % 2 == 0
+                                  and chain[-1].grid.N // 2 >= COARSE_N):
+        chain.append(chain[-1].restrict())
+    solve = (first_nonzero_scalar_eigenvalue
+             if kind is OperatorKind.SCALAR_LAPLACIAN else smallest_eigenpair)
+    start = None
+    if len(chain) >= levels + 3:
+        try:
+            start = solve(assemble(kind, chain[-1])).eigenfunction
+        except ConvergenceError:
+            pass
+        else:
+            values = start.values
+            for g in reversed(chain[levels + 1:]):
+                values = g.grid.prolong(values, _parity(kind))
+            start = replace(start, values=values, grid=chain[levels].grid)
+    lams = []
+    # each coarser operator is dropped before the next is assembled
+    for g in reversed(chain[1:levels]):
+        result = solve(assemble(kind, g), start=start)
+        lams.append(result.lam)
+        start = result.eigenfunction
+    op = assemble(kind, geom)
+    result = solve(op, start=start)
+    lams.append(result.lam)
+    return lams, result, op
 
 
 def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
                     levels: int) -> tuple:
-    """(eigenvalues coarse to fine, result at N, geometry at N) on the
-    grids N / 2^(levels-1), ..., N / 2, N, each solve started from the
-    eigenfunction of the one before (nested iteration), the first from
-    _coarse_start's.  The profile is evaluated on grid N only; coarser
-    geometries are restricted, so an N that cannot be halved levels - 1
-    times is refused before that."""
+    """(eigenvalues coarse to fine, result at N, geometry at N) of _solve
+    on the grids N / 2^(levels-1), ..., N.  The profile is evaluated on
+    grid N only, so an N that cannot be halved levels - 1 times is
+    refused before that."""
     RadialGrid.halvable(N, levels - 1)
-    geoms = [orbit_geometry(profile, grid_for(profile, N))]
-    while len(geoms) < levels:
-        geoms.append(geoms[-1].restrict())
-    lams, result = [], None
-    for geom in reversed(geoms):
-        start = None if result is None else result.eigenfunction
-        result = _solve(kind, geom, start)
-        lams.append(result.lam)
-    return lams, result, geoms[0]
+    geom = orbit_geometry(profile, grid_for(profile, N))
+    lams, result, _ = _solve(kind, geom, levels)
+    return lams, result, geom
 
 
 def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,

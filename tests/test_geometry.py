@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,62 @@ def test_nonfinite_ricci_is_refused():
         ricci_profile(orbit_geometry(p, grid_for(p, 256)))
     with pytest.raises(ValueError, match=msg):
         check_bound(p, N=256)
+
+
+def _dip(n, r0=101.5 / 512 * math.pi, s=0.0005 * math.pi):
+    """sin r minus a Gaussian dip of depth 1.2 and width s at r0, by
+    default midway between validate's positivity samples 100 and 101
+    (at k L / 512): phi is positive at every sample but reaches -0.62
+    on the grid."""
+
+    def dip(r):
+        u = (np.asarray(r, float) - r0) / s
+        return u, 1.2 * np.exp(-u * u)
+
+    def phi(r):
+        return np.sin(r) - dip(r)[1]
+
+    def dphi(r):
+        u, e = dip(r)
+        return np.cos(r) + 2 * u / s * e
+
+    def d2phi(r):
+        u, e = dip(r)
+        return -np.sin(r) - (4 * u * u - 2) / (s * s) * e
+
+    return WarpProfile(n=n, topology=Topology.SPHERE_LIKE, L=math.pi,
+                       phi=phi, dphi=dphi, d2phi=d2phi, preset_tag="dip")
+
+
+@pytest.mark.parametrize("n, dip, where", [
+    (2, {}, "-0.363 is not positive at node 811 "),
+    (3, {}, "-0.363 is not positive at node 811 "),
+    (4, {}, "-0.363 is not positive at node 811 "),
+    # narrow enough to miss nodes 811 and 812 but not the midpoint
+    (3, {"r0": 811.5 / 4096 * math.pi, "s": 2.5e-4},
+     "-0.617 is not positive at the midpoint after node 811 "),
+], ids=["n2", "n3", "n4", "midpoint"])
+def test_profile_not_positive_on_the_grid_is_refused(n, dip, where):
+    # at odd n the mass phi^(n-1) stays positive, so without this check
+    # n = 3 got a HypothesisNotMet verdict with kappa2 = -1.0e7
+    p = _dip(n, **dip)
+    assert p.validation.usable
+    msg = "^phi = " + re.escape(where + "(profile dip)")
+    with pytest.raises(ValueError, match=msg):
+        orbit_geometry(p, grid_for(p, 4096))
+    with pytest.raises(ValueError, match=msg):
+        check_bound(p, N=4096)
+
+
+def test_nan_phi_is_not_finite_rather_than_not_positive():
+    # node 101 of N = 1024 lies between validate's samples
+    node = 101 * (math.pi / 1024)
+    p = WarpProfile(n=3, topology=Topology.SPHERE_LIKE, L=math.pi,
+                    phi=lambda r: np.where(r == node, np.nan, np.sin(r)),
+                    dphi=np.cos, d2phi=lambda r: -np.sin(r), preset_tag="nan")
+    assert p.validation.usable
+    with pytest.raises(ValueError, match="^H is not finite at node "):
+        orbit_geometry(p, grid_for(p, 1024))
 
 
 def test_midpoint_weights_avoid_pole_singularity():

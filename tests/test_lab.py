@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomlab import lab, spectral
-from cohomlab import (OperatorKind, Verdict, assemble, check_bound, grid_for,
-                      make_preset, obata_check, orbit_geometry,
-                      rigidity_diagnostics, smallest_eigenpair, sweep)
+from cohomlab import (OperatorKind, Verdict, assemble, check_bound,
+                      convergence_study, grid_for, make_preset, obata_check,
+                      orbit_geometry, rigidity_diagnostics,
+                      smallest_eigenpair, solve_smallest, sweep)
 
 
 def _minimizer(profile, N):
@@ -108,9 +109,27 @@ def test_check_bound_solves_coarse_grids_from_two_to_the_fifteen(
     assert seen == sizes
 
 
+@pytest.mark.parametrize("run, sizes", [
+    (lambda p: solve_smallest(p, OperatorKind.ROUGH_VECTOR, 2 ** 16,
+                              richardson=True),
+     [2 ** 12, 2 ** 15, 2 ** 16]),
+    (lambda p: convergence_study(p, OperatorKind.ROUGH_VECTOR,
+                                 [2 ** 15, 2 ** 16, 2 ** 17]),
+     [2 ** 12, 2 ** 15, 2 ** 16, 2 ** 17]),
+], ids=["richardson", "convergence_study"])
+def test_nested_solves_start_on_one_coarse_grid(round_n2, monkeypatch, run,
+                                                sizes):
+    # one coarse solve below the coarsest grid of the family, then the
+    # family coarse to fine, each grid solved once
+    seen = _solve_sizes(monkeypatch)
+    run(round_n2)
+    assert seen == sizes
+
+
 def test_obata_mu1_is_check_bounds(bump01_n2, monkeypatch):
-    # obata_check solves its own scalar operator, from the same coarse
-    # start as check_bound's mu1 (and _solve's for the vector kind)
+    # obata_check takes mu1 and its scalar operator from the same
+    # spectral._solve call as check_bound's mu1, and its vector solve
+    # from one more: each a coarse solve on N/8, then N
     N = 2 ** 15
     mu1 = check_bound(bump01_n2, N=N).obata_mu1
     seen = _solve_sizes(monkeypatch)

@@ -196,12 +196,12 @@ def test_coarse_start_matches_seed(name, n, kind, N):
         assert warm.iterations == 1
 
 
-def _cold(kind, geom):
-    """The op-level solve from the analytic seed."""
+def _cold(kind, geom, start=None):
+    """The op-level solve from start, or else from the analytic seed."""
     op = assemble(kind, geom)
     if kind is OperatorKind.ROUGH_VECTOR:
-        return smallest_eigenpair(op)
-    return first_nonzero_scalar_eigenvalue(op)
+        return smallest_eigenpair(op, start=start)
+    return first_nonzero_scalar_eigenvalue(op, start=start)
 
 
 @pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])
@@ -216,36 +216,46 @@ def test_cold_fine_solve_starts_on_the_coarse_grid(name, n, kind, N):
     spec = dict(_FINE_PROFILES[name], n=n)
     prof = make_preset(spec.pop("family"), **spec)
     geom = orbit_geometry(prof, grid_for(prof, N))
-    warm, cold = spectral._solve(kind, geom), _cold(kind, geom)
+    warm, cold = spectral._solve(kind, geom)[1], _cold(kind, geom)
     assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
     assert warm.residual <= 1e-15
     assert warm.iterations == 1
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
-@pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])
-def test_failed_coarse_solve_falls_back_to_the_seed(kind, N, monkeypatch):
-    # a coarse solve that raises ConvergenceError leaves the fine solve
-    # exactly the cold one, so it fails nowhere a cold solve succeeds
+@pytest.mark.parametrize("N, levels, sizes", [
+    (2 ** 15, 1, [2 ** 12, 2 ** 15]),
+    (3 * 2 ** 14, 1, [6144, 3 * 2 ** 14]),
+    (2 ** 16, 2, [2 ** 12, 2 ** 15, 2 ** 16]),
+])
+def test_failed_coarse_solve_falls_back_to_the_seed(kind, N, levels, sizes,
+                                                    monkeypatch):
+    # a coarse solve that raises ConvergenceError leaves the solves above
+    # it exactly those from the analytic seed (a doubling pair: its N/2
+    # solve cold, its N solve from that), so it fails nowhere a cold
+    # solve succeeds
     bump = make_preset("Bump", n=3, eps=0.08)
     geom = orbit_geometry(bump, grid_for(bump, N))
-    cold = _cold(kind, geom)
-    sizes = []
+    cold = [_cold(kind, geom.restrict() if levels == 2 else geom)]
+    if levels == 2:
+        cold.append(_cold(kind, geom, start=cold[0].eigenfunction))
+    seen = []
     iterate = spectral._inverse_iterate
 
     def coarse_fails(op, *a, **k):
-        sizes.append(op.grid.N)
+        seen.append(op.grid.N)
         if op.grid.N < 8 * spectral.COARSE_N:
             raise ConvergenceError("forced", last_residual=1.0)
         return iterate(op, *a, **k)
 
     monkeypatch.setattr(spectral, "_inverse_iterate", coarse_fails)
-    res = spectral._solve(kind, geom)
-    assert sizes == [N // 8, N]
-    assert (res.lam, res.iterations, res.residual) \
-        == (cold.lam, cold.iterations, cold.residual)
+    lams, res, _ = spectral._solve(kind, geom, levels)
+    assert seen == sizes
+    assert lams == [c.lam for c in cold]
+    assert (res.iterations, res.residual) \
+        == (cold[-1].iterations, cold[-1].residual)
     np.testing.assert_array_equal(res.eigenfunction.values,
-                                  cold.eigenfunction.values)
+                                  cold[-1].eigenfunction.values)
 
 
 def _phase_trap(p):
