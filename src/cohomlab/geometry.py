@@ -75,27 +75,25 @@ class RicciProfile:
     argmin_r: float
 
 
-def _require_finite(profile: WarpProfile, **arrays) -> None:
-    for name, arr in arrays.items():
-        bad = np.where(~np.isfinite(arr))[0]
-        if bad.size:
-            raise ValueError(
-                f"{name} is not finite at node {int(bad[0])} "
-                f"(profile {profile.preset_tag})")
-
-
-def _require_positive(profile: WarpProfile, grid: RadialGrid,
-                      phi: np.ndarray, phi_mid: np.ndarray) -> None:
-    """phi > 0 at the retained nodes and at the cell midpoints (a NaN
-    passes here and is named by _require_finite)."""
+def _require(profile: WarpProfile, grid: RadialGrid, positive: bool = False,
+             **arrays) -> None:
+    """Every entry finite, or with positive every entry > 0 (a NaN
+    passes that test and is named by the finite one); else ValueError
+    naming the grid point of the first bad entry.  Entry i of w is node
+    i, of x_mid (reported as x) the midpoint after node i, and of a
+    retained array node i + 1 on a sphere-like grid, node i on a circle.
+    """
     first = 0 if grid.topology is Topology.PERIODIC else 1
-    for at, values, offset in (("node", phi, first),
-                               ("the midpoint after node", phi_mid, 0)):
-        bad = np.flatnonzero(values <= 0)
+    for name, values in arrays.items():
+        bad = np.flatnonzero(values <= 0 if positive else ~np.isfinite(values))
         if bad.size:
-            raise ValueError(
-                f"phi = {values[bad[0]]:.3g} is not positive at {at} "
-                f"{bad[0] + offset} (profile {profile.preset_tag})")
+            i = int(bad[0])
+            at = (f"the midpoint after node {i}" if name.endswith("_mid")
+                  else f"node {i if name == 'w' else i + first}")
+            what = (f"= {values[i]:.3g} is not positive" if positive
+                    else "is not finite")
+            raise ValueError(f"{name.removesuffix('_mid')} {what} at {at} "
+                             f"(profile {profile.preset_tag})")
 
 
 def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
@@ -109,7 +107,7 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     # half-node weights: evaluating phi at cell midpoints sidesteps the
     # coordinate singularity without special-casing the pole cells
     phi_mid = np.asarray(profile.phi(grid.midpoints), float)
-    _require_positive(profile, grid, phi, phi_mid)
+    _require(profile, grid, positive=True, phi=phi, phi_mid=phi_mid)
     w_mid = phi_mid ** (n - 1)
     del phi_mid  # checked and spent: freed before the arrays below
     dphi = np.asarray(profile.dphi(grid.retained(r)), float)
@@ -121,7 +119,7 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
         # poles carry zero weight exactly, whatever roundoff phi(L) left
         w[0] = 0.0
         w[-1] = 0.0
-    _require_finite(profile, H=H, B2=B2, w=w, w_mid=w_mid)
+    _require(profile, grid, H=H, B2=B2, w=w, w_mid=w_mid)
     return OrbitGeometry(H=H, B2=B2, w=w, w_mid=w_mid, phi=phi, dphi=dphi,
                          grid=grid, profile=profile)
 
@@ -143,8 +141,8 @@ def ricci_profile(geom: OrbitGeometry) -> RicciProfile:
     d2phi = np.asarray(profile.d2phi(ri), float)
     ric_radial = -(n - 1) * d2phi / phi
     ric_tangential = -d2phi / phi + (n - 2) * (1.0 - dphi * dphi) / (phi * phi)
-    _require_finite(profile, ric_radial=ric_radial,
-                    ric_tangential=ric_tangential)
+    _require(profile, geom.grid, ric_radial=ric_radial,
+             ric_tangential=ric_tangential)
     stacked = np.minimum(ric_radial, ric_tangential)
     i = int(np.argmin(stacked))
     ric_min = float(stacked[i])

@@ -46,9 +46,10 @@ CHANGE_TOL = 1e-12
 # a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 MAX_ITER = 200
-# _solve starts the coarsest grid it solves, when that has at least
-# 8 * COARSE_N nodes, from the last grid of its halving chain with at
-# least COARSE_N nodes; smaller grids keep the analytic seed
+# _solve starts the coarsest grid it solves from a coarse solve when it
+# takes three halvings, each of an even grid to one of at least COARSE_N
+# nodes, to get below it: the coarse grid is where such halving stops.
+# Other grids keep the analytic seed (N = 32770 halves to odd 16385)
 COARSE_N = 4096
 # numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
 # threaded ddot, whose worker threads then spin on the other cores for
@@ -276,18 +277,24 @@ def _parity(kind: OperatorKind) -> str:
     return "odd" if kind is OperatorKind.ROUGH_VECTOR else "even"
 
 
-def _seed(op: DiscreteOperator, deflate_constants: bool, start) -> np.ndarray:
+def _seed(op: DiscreteOperator, start) -> np.ndarray:
     """Deterministic start: start (an eigenfunction on the half grid)
     carried onto this grid by RadialGrid.prolong if given, else the
-    grid's lowest mode, nonconstant when deflating (fields odd,
-    functions even)."""
+    lowest mode of -d^2/dr^2 that op's kind admits: for fields a half
+    sine between poles or the constant on a circle; for functions the
+    lowest cosine past the deflated constants, one half-wave between
+    poles, one full wave around a circle."""
     grid = op.grid
-    parity = _parity(op.kind)
-    if start is None:
-        return grid.lowest_mode(parity, nonconstant=deflate_constants)
-    if start.grid != grid.half():
-        raise ValueError("start must be an eigenfunction on the half grid")
-    return grid.retained(start.grid.prolong(start.values, parity))
+    if start is not None:
+        if start.grid != grid.half():
+            raise ValueError("start must be an eigenfunction on the half grid")
+        return grid.retained(start.grid.prolong(start.values,
+                                                _parity(op.kind)))
+    r = grid.interior
+    sphere = grid.topology is Topology.SPHERE_LIKE
+    if op.kind is OperatorKind.ROUGH_VECTOR:
+        return np.sin(math.pi * r / grid.L) if sphere else np.ones(r.size)
+    return np.cos((1.0 if sphere else 2.0) * math.pi * r / grid.L)
 
 
 def _fix_sign(x: np.ndarray) -> None:
@@ -298,8 +305,7 @@ def _fix_sign(x: np.ndarray) -> None:
         np.negative(x, out=x)
 
 
-def _inverse_iterate(op: DiscreteOperator, max_iter: int,
-                     deflate_constants: bool, start=None):
+def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     """Shifted inverse iteration on K f = lambda W f from _seed(op).
 
     One step solves (K - sigma W) y = W x and takes lambda as the
@@ -310,7 +316,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int,
     residual costs no matvec; the returned residual is eta recomputed
     with an explicit K x at the accepted iterate.
 
-    deflate_constants removes the constant mode W-orthogonally from
+    The scalar kind removes the constant mode W-orthogonally from
     every iterate (to step past the kernel of the scalar problem).
     """
     W = op.weight
@@ -318,7 +324,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int,
     mass = float(np.sum(W))
 
     def project(v):
-        if deflate_constants:
+        if op.kind is OperatorKind.SCALAR_LAPLACIAN:
             v -= dot(W, v) / mass
         return v
 
@@ -328,7 +334,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int,
 
     # only y (the iterate, W-normalized after each step), Wy and, within
     # a step, W x stay alive: at N = 2^20 each is 8 MB
-    y = project(_seed(op, deflate_constants, start))
+    y = project(_seed(op, start))
     Wy = W * y
     norm = dot(y, Wy)
     if norm <= 0:
@@ -391,6 +397,16 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
                           grid_N=grid.N)
 
 
+def _eigenpair(op: DiscreteOperator, kind: OperatorKind, max_iter: int,
+               start) -> SpectralResult:
+    """The solve behind both entry points, refusing an operator of the
+    other kind: op.kind alone picks the seed and the deflation."""
+    if op.kind is not kind:
+        raise ValueError(f"this query needs a {kind.value} operator, "
+                         f"got {op.kind.value}")
+    return _package(op, *_inverse_iterate(op, max_iter, start))
+
+
 def smallest_eigenpair(op: DiscreteOperator, max_iter: int = MAX_ITER,
                        start=None) -> SpectralResult:
     """Smallest eigenvalue of K f = lambda W f by shifted inverse iteration.
@@ -398,8 +414,7 @@ def smallest_eigenpair(op: DiscreteOperator, max_iter: int = MAX_ITER,
     Deterministic: the seed is start (an eigenfunction on the half
     grid) interpolated onto this grid, or else _seed's analytic one.
     """
-    return _package(op, *_inverse_iterate(
-        op, max_iter, deflate_constants=False, start=start))
+    return _eigenpair(op, OperatorKind.ROUGH_VECTOR, max_iter, start)
 
 
 def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
@@ -411,10 +426,7 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
     telescopes), so the first nonzero eigenvalue is found by deflating
     the constant mode from every iterate.
     """
-    if op.kind is not OperatorKind.SCALAR_LAPLACIAN:
-        raise ValueError("first nonzero eigenvalue is a scalar-operator query")
-    return _package(op, *_inverse_iterate(
-        op, max_iter, deflate_constants=True, start=start))
+    return _eigenpair(op, OperatorKind.SCALAR_LAPLACIAN, max_iter, start)
 
 
 def _solve(kind: OperatorKind, geom: OrbitGeometry, levels: int = 1) -> tuple:

@@ -121,18 +121,6 @@ class RadialGrid:
         x[1::2] = mid
         return x
 
-    def lowest_mode(self, parity: str, nonconstant: bool = False):
-        """The lowest (or lowest nonconstant) mode of -d^2/dr^2 that
-        ghosted(values, parity) continues, at the retained nodes: a half
-        sine between poles if odd, else 1 or the lowest cosine."""
-        r = self.interior
-        sphere = self.topology is Topology.SPHERE_LIKE
-        if sphere and parity == "odd":
-            return np.sin(math.pi * r / self.L)
-        # one half-wave between poles, one full wave around a circle
-        return (np.cos((1.0 if sphere else 2.0) * math.pi * r / self.L)
-                if nonconstant else np.ones(r.size))
-
     @property
     def dx(self) -> float:
         return self.L / self.N

@@ -113,7 +113,7 @@ def test_nonfinite_ricci_is_refused():
                     preset_tag="nan-tail")
     assert p.validation.usable
     # the first retained node past 0.99 L is node 254, entry 253
-    msg = "ric_radial is not finite at node 253 "
+    msg = "ric_radial is not finite at node 254 "
     with pytest.raises(ValueError, match=msg):
         ricci_profile(orbit_geometry(p, grid_for(p, 256)))
     with pytest.raises(ValueError, match=msg):
@@ -165,14 +165,25 @@ def test_profile_not_positive_on_the_grid_is_refused(n, dip, where):
         check_bound(p, N=4096)
 
 
-def test_nan_phi_is_not_finite_rather_than_not_positive():
-    # node 101 of N = 1024 lies between validate's samples
-    node = 101 * (math.pi / 1024)
-    p = WarpProfile(n=3, topology=Topology.SPHERE_LIKE, L=math.pi,
-                    phi=lambda r: np.where(r == node, np.nan, np.sin(r)),
+@pytest.mark.parametrize("topology, at, where", [
+    (Topology.SPHERE_LIKE, 101, "H is not finite at node 101 "),
+    (Topology.SPHERE_LIKE, 101.5,
+     "w is not finite at the midpoint after node 101 "),
+    (Topology.PERIODIC, 101, "H is not finite at node 101 "),
+], ids=["node", "midpoint", "periodic"])
+def test_nan_phi_is_not_finite_rather_than_not_positive(topology, at, where):
+    # node 101 of N = 1024 and the midpoint after it lie between
+    # validate's samples; the message names the grid point, not the
+    # index into the retained or midpoint array
+    sphere = topology is Topology.SPHERE_LIKE
+    L, lift = (math.pi, 0.0) if sphere else (2 * math.pi, 2.0)
+    r0 = at * (L / 1024)
+    p = WarpProfile(n=3, topology=topology, L=L,
+                    phi=lambda r: np.where(r == r0, np.nan, np.sin(r) + lift),
                     dphi=np.cos, d2phi=lambda r: -np.sin(r), preset_tag="nan")
     assert p.validation.usable
-    with pytest.raises(ValueError, match="^H is not finite at node "):
+    msg = "^" + re.escape(where + "(profile nan)") + "$"
+    with pytest.raises(ValueError, match=msg):
         orbit_geometry(p, grid_for(p, 1024))
 
 

@@ -99,11 +99,14 @@ def _solve_sizes(monkeypatch):
     (2 ** 14, [2 ** 13, 2 ** 14, 2 ** 14]),
     (2 ** 15, [2 ** 14, 2 ** 15, 2 ** 12, 2 ** 15]),
     (2 ** 16, [2 ** 12, 2 ** 15, 2 ** 16, 2 ** 12, 2 ** 16]),
+    # halving stops at the odd 16385: no coarse start
+    (32770, [16385, 32770, 32770]),
 ])
 def test_check_bound_solves_coarse_grids_from_two_to_the_fifteen(
         round_n2, monkeypatch, N, sizes):
-    # the vector pair N/2 -> N, then mu1; a solve with no start on at
-    # least 8 * COARSE_N nodes first solves a grid of 4096..8191 nodes
+    # the vector pair N/2 -> N, then mu1; a solve with no start on a
+    # multiple of 8 with at least 8 * COARSE_N nodes first solves the
+    # grid where even halving to at least COARSE_N nodes stops
     seen = _solve_sizes(monkeypatch)
     check_bound(round_n2, N=N)
     assert seen == sizes

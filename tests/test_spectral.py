@@ -6,6 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +150,27 @@ def test_residual_certificate(bump01_n2):
     assert res.residual == pytest.approx(eta, rel=0.5, abs=1e-17)
 
 
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("family, params", [
+    ("Round", {"k": 1.0}), ("Round", {"k": 2.0}),
+    ("Bump", {"eps": 0.08}), ("Bump", {"eps": 0.3}),
+    ("PeriodicProduct", {"c": 1.0, "a": 0.0}),
+    ("PeriodicProduct", {"c": 1.0, "a": 0.3}),
+])
+def test_eigenvalue_matches_dense_eigh(family, params, n, kind):
+    # the dense generalized eigenproblem K f = lambda W f is the oracle:
+    # the vector kind reports its smallest eigenvalue, the scalar kind
+    # its second (the first is the constants' zero)
+    profile = make_preset(family, n=n, **params)
+    op, _, _ = _op(profile, kind, 256)
+    dense = scipy.linalg.eigh(_dense(op), np.diag(op.weight),
+                              eigvals_only=True)
+    want = dense[0 if kind is OperatorKind.ROUGH_VECTOR else 1]
+    assert solve_smallest(profile, kind, 256).lam \
+        == pytest.approx(want, rel=1e-10)
+
+
 _FINE_PROFILES = {
     "round": dict(family="Round", n=3, k=1.0),
     "bump": dict(family="Bump", n=3, eps=0.08),
@@ -209,10 +231,10 @@ def _cold(kind, geom, start=None):
 @pytest.mark.parametrize("n", [2, 3, 7])
 @pytest.mark.parametrize("name", sorted(_FINE_PROFILES))
 def test_cold_fine_solve_starts_on_the_coarse_grid(name, n, kind, N):
-    # from N = 8 * COARSE_N on, a solve without a start begins on a grid
-    # of 4096..8191 nodes, whose eigenfunction, carried up by the cubic,
-    # leaves the N solve a single step (the analytic seed takes 5-12
-    # off the round sphere)
+    # on these multiples of 8 with N >= 8 * COARSE_N, a solve without a
+    # start begins on a grid of 4096..8191 nodes, whose eigenfunction,
+    # carried up by the cubic, leaves the N solve a single step (the
+    # analytic seed takes 5-12 off the round sphere)
     spec = dict(_FINE_PROFILES[name], n=n)
     prof = make_preset(spec.pop("family"), **spec)
     geom = orbit_geometry(prof, grid_for(prof, N))
@@ -426,10 +448,17 @@ def test_richardson_odd_grid_fails_before_solving(round_n2, monkeypatch):
     assert calls == []
 
 
-def test_first_nonzero_requires_scalar(round_n2):
-    op, _, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR)
-    with pytest.raises(ValueError, match="scalar"):
-        first_nonzero_scalar_eigenvalue(op)
+@pytest.mark.parametrize("solve, kind", [
+    (first_nonzero_scalar_eigenvalue, OperatorKind.ROUGH_VECTOR),
+    (smallest_eigenpair, OperatorKind.SCALAR_LAPLACIAN),
+], ids=["first_nonzero", "smallest"])
+def test_first_nonzero_requires_scalar(round_n2, solve, kind):
+    # each entry point poses one kind's quotient; the other kind is
+    # refused, not solved (a scalar operator's smallest pair is the
+    # constant, lambda = 0 in no steps)
+    op, _, _ = _op(round_n2, kind)
+    with pytest.raises(ValueError, match=f"got {kind.value}$"):
+        solve(op)
 
 
 def test_convergence_error_carries_residual(round_n2):
