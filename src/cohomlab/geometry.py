@@ -25,7 +25,8 @@ class OrbitGeometry:
 
     For sphere-like profiles w vanishes at the two pole nodes and the
     per-orbit arrays cover nodes 1..N-1 only; periodic profiles have no
-    singular nodes and all arrays cover nodes 0..N-1.
+    singular nodes and all arrays cover nodes 0..N-1.  orbit_geometry
+    stores the six arrays as rows of one block.
     """
 
     H: np.ndarray
@@ -103,18 +104,33 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     n = profile.n
     r = grid.nodes
     phi_nodes = np.asarray(profile.phi(r), float)
-    phi = grid.retained(phi_nodes)
     # half-node weights: evaluating phi at cell midpoints sidesteps the
     # coordinate singularity without special-casing the pole cells
     phi_mid = np.asarray(profile.phi(grid.midpoints), float)
-    _require(profile, grid, positive=True, phi=phi, phi_mid=phi_mid)
-    w_mid = phi_mid ** (n - 1)
-    del phi_mid  # checked and spent: freed before the arrays below
-    dphi = np.asarray(profile.dphi(grid.retained(r)), float)
-    quot = dphi / phi
-    H = -quot
-    B2 = (n - 1) * quot * quot
-    w = phi_nodes ** (n - 1)
+    phi_retained = grid.retained(phi_nodes)
+    _require(profile, grid, positive=True, phi=phi_retained, phi_mid=phi_mid)
+    # the six arrays are rows of one block: glibc hands free heap back to
+    # the kernel above twice the largest block the process has freed, so
+    # with N-sized arrays alone every fine-grid op faults its pages in
+    # afresh, and freeing a block six times that size keeps them mapped
+    block = np.empty((6, r.size))
+    m = phi_retained.size
+    H, B2, w, w_mid, phi, dphi = (block[0, :m], block[1, :m], block[2],
+                                  block[3, :grid.N], block[4, :m],
+                                  block[5, :m])
+    # x **= e is the in-place form of x ** e: the same power, rounded alike
+    w_mid[:] = phi_mid
+    w_mid **= n - 1
+    del phi_mid  # checked and spent: freed before phi' is evaluated
+    phi[:] = phi_retained
+    dphi[:] = profile.dphi(grid.retained(r))
+    # quot = phi'/phi, held in H's row until H = -quot
+    np.divide(dphi, phi, out=H)
+    np.multiply(n - 1, H, out=B2)
+    B2 *= H
+    np.negative(H, out=H)
+    w[:] = phi_nodes
+    w **= n - 1
     if grid.topology is Topology.SPHERE_LIKE:
         # poles carry zero weight exactly, whatever roundoff phi(L) left
         w[0] = 0.0

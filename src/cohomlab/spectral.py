@@ -108,7 +108,12 @@ class DiscreteOperator:
     def _node_cond(self) -> np.ndarray:
         """Conductance into each retained node: c_left + c_right."""
         c = self.cond
-        return np.roll(c, 1) + c if self._periodic else c[:-1] + c[1:]
+        if not self._periodic:
+            return c[:-1] + c[1:]
+        s = np.empty(c.size)
+        s[0] = c[-1] + c[0]
+        np.add(c[:-1], c[1:], out=s[1:])
+        return s
 
     def norm_bound(self) -> float:
         """Largest row sum of |K|, 2 (c_left + c_right) + potential,
@@ -122,7 +127,10 @@ class DiscreteOperator:
         """Differences of x across the N cells (x at the retained nodes;
         sphere-like: against zero pole values; periodic: cyclic)."""
         if self._periodic:
-            return np.roll(x, -1) - x
+            d = np.empty(x.size)
+            np.subtract(x[1:], x[:-1], out=d[:-1])
+            d[-1] = x[0] - x[-1]
+            return d
         d = np.empty(x.size + 1)
         d[0] = x[0]
         np.subtract(x[1:], x[:-1], out=d[1:-1])
@@ -131,7 +139,12 @@ class DiscreteOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         flux = self.cond * self._diffs(x)
-        y = np.roll(flux, 1) - flux if self._periodic else flux[:-1] - flux[1:]
+        if self._periodic:
+            y = np.empty(flux.size)
+            y[0] = flux[-1] - flux[0]
+            np.subtract(flux[:-1], flux[1:], out=y[1:])
+        else:
+            y = flux[:-1] - flux[1:]
         if self.potential is not None:
             y += self.potential * x
         return y

@@ -213,3 +213,52 @@ def test_restrict_is_half_grid_geometry(name, N):
         assert np.array_equal(getattr(half, attr), getattr(ref, attr)), attr
     with pytest.raises(ValueError, match="even"):
         orbit_geometry(p, grid_for(p, 2 * N + 1)).restrict()
+
+
+def _block_case(name, n):
+    if name == "samples":
+        r = np.linspace(0, math.pi, 129)
+        return profile_from_samples(r, np.sin(r) * (1 + 0.05 * np.sin(r) ** 2),
+                                    n=n, topology=Topology.SPHERE_LIKE)
+    return {"round": lambda: round_profile(k=1.3, n=n),
+            "bump": lambda: make_preset("Bump", n=n, eps=0.08),
+            "periodic": lambda: periodic_product_profile(c=1.0, a=0.3, n=n),
+            }[name]()
+
+
+GEOMETRY_ARRAYS = ("H", "B2", "w", "w_mid", "phi", "dphi")
+
+
+@pytest.mark.parametrize("name", ["round", "periodic"])
+def test_orbit_geometry_arrays_share_one_block(name):
+    # one allocation, so that freeing it keeps fine-grid pages mapped
+    _, geom = _setup(_block_case(name, 3), 1024)
+    block = geom.H.base
+    assert isinstance(block, np.ndarray)
+    for attr in GEOMETRY_ARRAYS:
+        a = getattr(geom, attr)
+        assert a.base is block and np.shares_memory(a, block), attr
+
+
+@pytest.mark.parametrize("N", [1024, 2 ** 15])
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("name", ["round", "bump", "periodic", "samples"])
+def test_orbit_geometry_matches_reference_formulas(name, n, N):
+    # the arrays are written in place, with the same operations in the
+    # same order as these fresh-array formulas, so they agree bit for bit
+    p = _block_case(name, n)
+    grid = grid_for(p, N)
+    geom = orbit_geometry(p, grid)
+    r = grid.nodes
+    phi_nodes = np.asarray(p.phi(r), float)
+    phi = grid.retained(phi_nodes)
+    w_mid = np.asarray(p.phi(grid.midpoints), float) ** (n - 1)
+    dphi = np.asarray(p.dphi(grid.retained(r)), float)
+    quot = dphi / phi
+    w = phi_nodes ** (n - 1)
+    if grid.topology is Topology.SPHERE_LIKE:
+        w[0] = w[-1] = 0.0
+    ref = {"H": -quot, "B2": (n - 1) * quot * quot, "w": w, "w_mid": w_mid,
+           "phi": phi, "dphi": dphi}
+    for attr in GEOMETRY_ARRAYS:
+        assert np.array_equal(getattr(geom, attr), ref[attr]), attr

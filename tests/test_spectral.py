@@ -369,6 +369,26 @@ def test_quadform_is_energy_functional(bump01_n2, periodic_n3):
                                                rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [1024, 2 ** 15])
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_periodic_stencils_match_roll(periodic_n3, kind, N):
+    # the cyclic differences and fluxes are slices with the operands of
+    # np.roll's shifted arrays in the same order: equal bit for bit
+    op, _, _ = _op(periodic_n3, kind, N)
+    x = np.random.default_rng(11).standard_normal(op.size)
+    c, pot = op.cond, op.potential
+    d = np.roll(x, -1) - x
+    flux = c * d
+    Kx = np.roll(flux, 1) - flux
+    xKx = spectral.dot(d, c * d)
+    if pot is not None:
+        Kx += pot * x
+        xKx += spectral.dot(x, pot * x)
+    assert np.array_equal(op._node_cond(), np.roll(c, 1) + c)
+    assert np.array_equal(op.matvec(x), Kx)
+    assert op.quadform(x) == xKx
+
+
 def test_eigenvalue_normalization(round_n2):
     res = solve_smallest(round_n2, OperatorKind.ROUGH_VECTOR, 512)
     grid = res.eigenfunction.grid
