@@ -26,7 +26,7 @@ import numpy as np
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
-from .spectral import OperatorKind, _coarse_to_fine, _solve, dot
+from .spectral import OperatorKind, dot, nested_solve
 from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
@@ -140,14 +140,15 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     profile is evaluated on any grid.
     """
     ensure_usable(profile)
-    lams, fine, geom = _coarse_to_fine(profile, OperatorKind.ROUGH_VECTOR,
-                                       N, 2)
+    geom = orbit_geometry(profile, grid_for(profile, RadialGrid.halvable(N)))
+    # keep the results, not the N operator's three N-sized arrays
+    lams, fine = nested_solve(OperatorKind.ROUGH_VECTOR, geom, 2)[:2]
     tol_disc = max(DISC_FLOOR, abs(lams[1] - lams[0]))
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
     kappa2 = ricci_profile(geom).kappa2
-    mu1 = _solve(OperatorKind.SCALAR_LAPLACIAN, geom)[1].lam
+    mu1 = nested_solve(OperatorKind.SCALAR_LAPLACIAN, geom)[1].lam
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
     gap = fine.lam - kappa2
@@ -191,8 +192,8 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {kappa2:.6g}")
     # the scalar eigenfunction is not kept, only mu1 and the operator
-    [mu1], scalar = _solve(OperatorKind.SCALAR_LAPLACIAN, geom)[::2]
-    vec = _solve(OperatorKind.ROUGH_VECTOR, geom)[1]
+    [mu1], scalar = nested_solve(OperatorKind.SCALAR_LAPLACIAN, geom)[::2]
+    vec = nested_solve(OperatorKind.ROUGH_VECTOR, geom)[1]
     mu = profile.n * kappa2
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
     Wg = scalar.weight * g

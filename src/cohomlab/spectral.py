@@ -46,8 +46,8 @@ CHANGE_TOL = 1e-12
 # a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 MAX_ITER = 200
-# _solve starts the coarsest grid it solves from a coarse solve when it
-# takes three halvings, each of an even grid to one of at least COARSE_N
+# nested_solve starts the coarsest grid it solves from a coarse solve when
+# it takes three halvings, each of an even grid to one of at least COARSE_N
 # nodes, to get below it: the coarse grid is where such halving stops.
 # Other grids keep the analytic seed (N = 32770 halves to odd 16385)
 COARSE_N = 4096
@@ -323,17 +323,22 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
 
     One step solves (K - sigma W) y = W x and takes lambda as the
     difference-form quotient of y.  Iteration stops once lambda moved
-    by at most CHANGE_TOL |lambda| in the step and the normwise backward error
-    (Rigal-Gaches) eta = ||K y - lambda W y|| / ((||K|| + |lambda| ||W||)
-    ||y||) is at most BACKWARD_TOL.  Since K y = W x + sigma W y, that
-    residual costs no matvec; the returned residual is eta recomputed
-    with an explicit K x at the accepted iterate.
+    by at most CHANGE_TOL max(|lambda|, eps ||K|| / max W) in the step
+    and the normwise backward error (Rigal-Gaches) eta = ||K y - lambda
+    W y|| / ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
+    Since K y = W x + sigma W y, that residual costs no matvec; the
+    returned residual is eta recomputed with an explicit K x at the
+    accepted iterate.
 
     The scalar kind removes the constant mode W-orthogonally from
     every iterate (to step past the kernel of the scalar problem).
     """
     W = op.weight
     scale_K, scale_W = op.norm_bound(), float(np.max(W))
+    # rounding scale of a computed eigenvalue: near lambda = 0 a change
+    # relative to |lambda| alone never passes (a flat product's constants
+    # carried up by the cubic prolong give lambda ~ 1e-21, not 0)
+    lam_floor = np.finfo(float).eps * scale_K / scale_W
     mass = float(np.sum(W))
 
     def project(v):
@@ -371,7 +376,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
         lam_prev, lam = lam, op.quadform(y) / yWy
         change = abs(lam - lam_prev)
         eta = math.inf
-        if change <= CHANGE_TOL * abs(lam):
+        if change <= CHANGE_TOL * max(abs(lam), lam_floor):
             # K y - lam W y = W x + (sigma - lam) W y, in Wx's buffer
             Wx += (sigma - lam) * Wy
             eta = backward_error(Wx, lam, y)
@@ -386,7 +391,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "
         f"{eta:.3e}, target {BACKWARD_TOL:g}; last eigenvalue change "
-        f"{change:.3e}, target {CHANGE_TOL * abs(lam):.3e})",
+        f"{change:.3e}, target {CHANGE_TOL * max(abs(lam), lam_floor):.3e})",
         last_residual=eta)
 
 
@@ -442,7 +447,8 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
     return _eigenpair(op, OperatorKind.SCALAR_LAPLACIAN, max_iter, start)
 
 
-def _solve(kind: OperatorKind, geom: OrbitGeometry, levels: int = 1) -> tuple:
+def nested_solve(kind: OperatorKind, geom: OrbitGeometry,
+                 levels: int = 1) -> tuple:
     """(eigenvalues coarse to fine, result, operator) of kind on geom's
     grid and the levels - 1 grids below it, each solve started from the
     eigenfunction of the one before (nested iteration).
@@ -484,18 +490,6 @@ def _solve(kind: OperatorKind, geom: OrbitGeometry, levels: int = 1) -> tuple:
     return lams, result, op
 
 
-def _coarse_to_fine(profile: WarpProfile, kind: OperatorKind, N: int,
-                    levels: int) -> tuple:
-    """(eigenvalues coarse to fine, result at N, geometry at N) of _solve
-    on the grids N / 2^(levels-1), ..., N.  The profile is evaluated on
-    grid N only, so an N that cannot be halved levels - 1 times is
-    refused before that."""
-    RadialGrid.halvable(N, levels - 1)
-    geom = orbit_geometry(profile, grid_for(profile, N))
-    lams, result, _ = _solve(kind, geom, levels)
-    return lams, result, geom
-
-
 def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
                    richardson: bool = False) -> SpectralResult:
     """Assemble and solve at grid N; optionally Richardson-extrapolate
@@ -504,10 +498,13 @@ def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
     solved first and its eigenfunction starts the N solve, whose
     iterations are the ones reported.
 
-    The scalar kind reports the first nonzero eigenvalue.
+    The scalar kind reports the first nonzero eigenvalue.  An N without
+    the half grid Richardson needs is refused before the profile is
+    evaluated on any grid.
     """
-    lams, result, _ = _coarse_to_fine(profile, kind, N,
-                                      levels=2 if richardson else 1)
+    levels = 2 if richardson else 1
+    grid = grid_for(profile, RadialGrid.halvable(N, levels - 1))
+    lams, result, _ = nested_solve(kind, orbit_geometry(profile, grid), levels)
     extrap = lams[1] + (lams[1] - lams[0]) / 3.0 if richardson else None
     return replace(result, extrapolated=extrap)
 
@@ -522,7 +519,7 @@ class ConvergenceStudy:
 def convergence_study(profile: WarpProfile, kind: OperatorKind,
                       grids) -> ConvergenceStudy:
     """Eigenvalues over a doubling family of grids with observed orders
-    (solved coarse to fine, see _coarse_to_fine).
+    (solved coarse to fine by nested_solve).
 
     order p = log2((lam_N - lam_2N) / (lam_2N - lam_4N)) per triple;
     when successive eigenvalues agree to roundoff (a degenerate exact
@@ -535,7 +532,8 @@ def convergence_study(profile: WarpProfile, kind: OperatorKind,
     for a, b in zip(grids, grids[1:]):
         if b != 2 * a:
             raise ValueError("grids must double: got %d after %d" % (b, a))
-    lams = _coarse_to_fine(profile, kind, grids[-1], len(grids))[0]
+    grid = grid_for(profile, RadialGrid.halvable(grids[-1], len(grids) - 1))
+    lams = nested_solve(kind, orbit_geometry(profile, grid), len(grids))[0]
     orders = []
     for l1, l2, l3 in zip(lams, lams[1:], lams[2:]):
         d1 = l1 - l2

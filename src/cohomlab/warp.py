@@ -455,19 +455,19 @@ def cfg_list(values, path: str, item=_cfg_real) -> list:
     return [item(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def sweep_range(section: dict, prefix: str = "sweep.") -> list:
-    """start, start + step, ... up to stop, from section's values of those
-    keys, refused before any is built beyond MAX_SWEEP_ROWS; prefix is
-    'sweep.' in a config, '--' for flags."""
-    start, stop, step = (_cfg_real(_cfg_get(section, k, prefix), prefix + k)
+def sweep_range(section: dict) -> list:
+    """start, start + step, ... up to stop, from a config's sweep section,
+    refused before any is built beyond MAX_SWEEP_ROWS."""
+    start, stop, step = (_cfg_real(_cfg_get(section, k, "sweep."),
+                                   "sweep." + k)
                          for k in ("start", "stop", "step"))
     if step <= 0 or stop < start:
-        raise ValueError(f"{_where(prefix + 'step')}: need step > 0 and "
+        raise ValueError("config path 'sweep.step': need step > 0 and "
                          f"stop >= start, got {start!r}/{stop!r}/{step!r}")
     steps = (stop - start) / step
     # int(steps + 1e-9) + 1 rows; an overflowed (infinite) steps fails too
     if not steps + 1e-9 < MAX_SWEEP_ROWS:
-        raise ValueError(f"{_where(prefix + 'step')}: too small, gives more "
+        raise ValueError("config path 'sweep.step': too small, gives more "
                          f"than {MAX_SWEEP_ROWS} rows, got {step!r}")
     return [start + i * step for i in range(int(steps + 1e-9) + 1)]
 

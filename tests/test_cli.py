@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import cohomlab
 from cohomlab import ConvergenceError, profile_from_config
 from cohomlab.cli import main
 from cohomlab.lab import RigidityDiagnostics, TheoremReport, Verdict
@@ -263,6 +265,9 @@ BAD_DOCUMENTS = [
     pytest.param("sweep", {"sweep": {"start": 0.0, "stop": 1.0,
                                      "step": 1e-320}},
                  "sweep.step", id="sweep-step-overflows"),
+    pytest.param("sweep", {"sweep": {"start": 0.0, "stop": 1.0,
+                                     "step": 0.0}},
+                 "sweep.step", id="sweep-step-zero"),
     pytest.param("converge", {"converge": {"grids": [None]}},
                  "converge.grids[0]", id="converge-grids-null"),
     pytest.param("converge", {"converge": {"grids": "256"}},
@@ -373,6 +378,30 @@ def test_import_skips_interpolate_and_integrate(package_env):
     assert out.strip() == "[]"
 
 
+def test_python_m_cohomlab_prints_the_golden_verify(package_env):
+    # python -m cohomlab runs __main__.py, the path of a cold CLI start
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohomlab", "verify",
+         "--config", str(root / "configs" / "round_n2.json")],
+        capture_output=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout \
+        == (root / "tests" / "golden" / "round_n2.verify.json").read_bytes()
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # modules talk through public names only: a name with a leading
+    # underscore stays inside the module that defines it
+    package = Path(cohomlab.__file__).resolve().parent
+    private = [(path.name, node.module, alias.name)
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_sweep_with_start_stop_step(tmp_path, capsys):
     cfg = {"n": 2, "topology": "sphere_like",
            "preset": {"type": "bump", "eps": 0.0}, "grid": {"N": 512},
@@ -406,3 +435,10 @@ def test_sweep_row_bound_is_inclusive():
     values = sweep_range({"start": 0.0, "stop": MAX_SWEEP_ROWS - 1.0,
                           "step": 1.0})
     assert len(values) == MAX_SWEEP_ROWS
+
+
+def test_sweep_range_stops_at_stop():
+    # no row past stop when step does not divide stop - start
+    values = sweep_range({"start": 0.0, "stop": 0.29, "step": 0.1})
+    assert values == pytest.approx([0.0, 0.1, 0.2])
+    assert values[-1] <= 0.29

@@ -63,8 +63,8 @@ def test_check_bound_needs_even_grid(round_n2, monkeypatch):
     # half is below the smallest grid (18 halves to 9), is refused with
     # that N before the profile is evaluated on any grid
     calls = []
-    geometry = spectral.orbit_geometry
-    monkeypatch.setattr(spectral, "orbit_geometry",
+    geometry = lab.orbit_geometry
+    monkeypatch.setattr(lab, "orbit_geometry",
                         lambda *a: calls.append(a) or geometry(*a))
     for N in (333, 18, 20, 30):
         with pytest.raises(ValueError, match=f"even N >= 32, got {N}$"):
@@ -131,7 +131,7 @@ def test_nested_solves_start_on_one_coarse_grid(round_n2, monkeypatch, run,
 
 def test_obata_mu1_is_check_bounds(bump01_n2, monkeypatch):
     # obata_check takes mu1 and its scalar operator from the same
-    # spectral._solve call as check_bound's mu1, and its vector solve
+    # spectral.nested_solve call as check_bound's mu1, and its vector solve
     # from one more: each a coarse solve on N/8, then N
     N = 2 ** 15
     mu1 = check_bound(bump01_n2, N=N).obata_mu1

@@ -238,7 +238,7 @@ def test_cold_fine_solve_starts_on_the_coarse_grid(name, n, kind, N):
     spec = dict(_FINE_PROFILES[name], n=n)
     prof = make_preset(spec.pop("family"), **spec)
     geom = orbit_geometry(prof, grid_for(prof, N))
-    warm, cold = spectral._solve(kind, geom)[1], _cold(kind, geom)
+    warm, cold = spectral.nested_solve(kind, geom)[1], _cold(kind, geom)
     assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
     assert warm.residual <= 1e-15
     assert warm.iterations == 1
@@ -271,7 +271,7 @@ def test_failed_coarse_solve_falls_back_to_the_seed(kind, N, levels, sizes,
         return iterate(op, *a, **k)
 
     monkeypatch.setattr(spectral, "_inverse_iterate", coarse_fails)
-    lams, res, _ = spectral._solve(kind, geom, levels)
+    lams, res, _ = spectral.nested_solve(kind, geom, levels)
     assert seen == sizes
     assert lams == [c.lam for c in cold]
     assert (res.iterations, res.residual) \
@@ -420,6 +420,25 @@ def test_flat_periodic_is_exact_kernel():
     assert np.max(np.abs(v - v[0])) == 0.0
 
 
+@pytest.mark.parametrize("entry", ["check_bound", "richardson"])
+@pytest.mark.parametrize("N", [2 ** 16, 3 * 2 ** 15])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_flat_periodic_stops_at_the_rounding_floor(n, N, entry):
+    # the coarse start carried up by the cubic gives the constants a
+    # quotient of about 1e-21, not the exact 0 that skips iteration, and
+    # a change relative to |lam| alone never passes there: the stop rule
+    # floors |lam| at the operator's rounding scale eps ||K|| / max W
+    flat = make_preset("PeriodicProduct", n=n, c=1.0, a=0.0)
+    if entry == "check_bound":
+        lam = cohomlab.check_bound(flat, N=N).lambda_min
+    else:
+        lam = solve_smallest(flat, OperatorKind.ROUGH_VECTOR, N,
+                             richardson=True).lam
+    op = _op(flat, OperatorKind.ROUGH_VECTOR, N)[0]
+    assert 0.0 <= lam <= np.finfo(float).eps * op.norm_bound() \
+        / np.max(op.weight)
+
+
 def test_periodic_modulated_eigenvalue(periodic_n3):
     res = solve_smallest(periodic_n3, OperatorKind.ROUGH_VECTOR, 1024)
     assert res.lam == pytest.approx(0.0843062568, abs=1e-7)
@@ -519,7 +538,7 @@ def test_convergence_study_exact_case():
 def test_convergence_study_order_of_a_non_monotone_triple(round_n2,
                                                           monkeypatch, lams):
     # no order exists when the differences change sign or the second is 0
-    monkeypatch.setattr(spectral, "_coarse_to_fine",
+    monkeypatch.setattr(spectral, "nested_solve",
                         lambda *args: (list(lams), None, None))
     study = convergence_study(round_n2, OperatorKind.ROUGH_VECTOR,
                               [64, 128, 256])
