@@ -38,13 +38,26 @@ BACKWARD_TOL = 1e-15
 # relative change of the eigenvalue between successive steps below
 # which that backward error is checked
 CHANGE_TOL = 1e-12
-# shift sigma = -SHIFT * max(1, |lam_0|).  K - sigma W must stay
-# numerically definite: every pivot of its L D L^T factor (dpttrf)
-# positive.  On the Neumann problem the constant mode gives it an
-# eigenvalue of about |sigma| w dx against ||K|| ~ 4 w / dx, and the
-# ratio |sigma| dx^2 / 4 must stay well above machine epsilon:
-# a shift of 1e-8 fails that from N = 2^16 on, 1e-2 holds past 2^20.
+# far shift sigma = -SHIFT * max(1, |lam_0|), the fallback wherever a
+# near shift (below) is refused.  K - sigma W must stay numerically
+# definite: every pivot of its L D L^T factor (dpttrf) positive.  On
+# the Neumann problem the constant mode gives it an eigenvalue of about
+# |sigma| w dx against ||K|| ~ 4 w / dx, and the ratio |sigma| dx^2 / 4
+# must stay well above machine epsilon: a shift of 1e-8 fails that from
+# N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
+# near shift sigma = lam (1 - DELTA), just below the current quotient
+# lam, which is never below the eigenvalue sought (Rayleigh): a step
+# then cuts the error by about DELTA lam / (lam_2 - lam).  It is kept
+# only if the factor that does the solves certifies, by Sylvester's law
+# of inertia, that no eigenvalue sought lies below it (_near_shift).
+# Its margin DELTA lam w dx against ||K|| keeps what that factor
+# factors definite well above rounding: DELTA lam dx^2 / 4 is about
+# 2e-14 at N = 2^20 on Round(1)
+DELTA = 1e-2
+# a solve whose first near shift was refused tries once more, at the
+# first far-shift step that moves lam by at most RETRY |lam|
+RETRY = DELTA / 10
 MAX_ITER = 200
 # nested_solve starts the coarsest grid it solves from a coarse solve when
 # it takes three halvings, each of an even grid to one of at least COARSE_N
@@ -164,12 +177,17 @@ class DiscreteOperator:
 @dataclass(frozen=True)
 class SpectralResult:
     """lam is the difference-form Rayleigh quotient of the eigenvector;
-    residual its normwise backward error (see _inverse_iterate)."""
+    residual its normwise backward error (see _inverse_iterate); shift
+    the sigma of the K - sigma W solve that produced the eigenvector:
+    the near shift lam (1 - DELTA) of some earlier quotient lam where
+    its factor certified it, else the far shift -SHIFT max(1, |lam_0|),
+    and None if the seed needed no step."""
 
     lam: float
     eigenfunction: Union[InvariantField, InvariantFunction]
     iterations: int
     residual: float
+    shift: Optional[float]
     grid_N: int
     extrapolated: Optional[float] = None
 
@@ -241,15 +259,9 @@ def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _factor(op: DiscreteOperator, sigma: float):
-    """Solver for K - sigma W from its tridiagonal L D L^T factor.
-
-    For the periodic case K_c = T' + c u u^T with u = e_0 + e_{M-1} and
-    c = -cond[-1] < 0 the wrap-around entry, so T' = K_c - c u u^T
-    stays positive definite and a single Sherman-Morrison correction
-    recovers the cyclic solve.
-    """
-    periodic, cond = op._periodic, op.cond
+def _band(op: DiscreteOperator, sigma: float) -> tuple:
+    """Fresh diagonal d and off-diagonal e of K - sigma W without the
+    periodic wrap-around entry."""
     # the diagonal is summed before it meets -sigma W: adding its two
     # terms to -sigma W one at a time rounds differently and moves
     # printed last digits.  d and e are fresh arrays: the factor
@@ -258,9 +270,25 @@ def _factor(op: DiscreteOperator, sigma: float):
     if op.potential is not None:
         d += op.potential
     d += op.weight * -sigma
-    e = -(cond[:-1] if periodic else cond[1:-1])
+    return d, -(op.cond[:-1] if op._periodic else op.cond[1:-1])
+
+
+def _factor(op: DiscreteOperator, sigma: float):
+    """Solver for K - sigma W from its tridiagonal L D L^T factor, which
+    certifies that K - sigma W is positive definite, that is, sigma
+    below every eigenvalue (LinAlgError if not).
+
+    For the periodic case K_c = T' + c u u^T with u = e_0 + e_{M-1} and
+    c = -cond[-1] < 0 the wrap-around entry, so a single Sherman-Morrison
+    correction recovers the cyclic solve from the factor of T' =
+    K_c - c u u^T.  T' can be positive definite while K_c is not: by
+    the determinant lemma K_c is so exactly when T' is and
+    1 + c u^T T'^{-1} u > 0.
+    """
+    d, e = _band(op, sigma)
+    periodic = op._periodic
     if periodic:
-        corner = float(-cond[-1])
+        corner = float(-op.cond[-1])
         d[0] -= corner
         d[-1] -= corner
     factor = cholesky_banded(d, e)
@@ -274,7 +302,10 @@ def _factor(op: DiscreteOperator, sigma: float):
     u = np.zeros(op.size)
     u[0] = u[-1] = 1.0
     z = chol_solve(u)
-    scale = corner / (1.0 + corner * (z[0] + z[-1]))
+    lemma = 1.0 + corner * (z[0] + z[-1])
+    if not lemma > 0:
+        raise LinAlgError(f"determinant-lemma term {lemma:.3e} not positive")
+    scale = corner / lemma
 
     def solve(b):
         y = chol_solve(b)
@@ -282,6 +313,75 @@ def _factor(op: DiscreteOperator, sigma: float):
         return y
 
     return solve
+
+
+def _split_factor(op: DiscreteOperator, sigma: float, p: int):
+    """Solver for K - sigma W on a sphere-like scalar operator, pinned at
+    retained node p, which certifies that exactly one eigenvalue lies
+    below sigma (LinAlgError if not).
+
+    With A and B the blocks of K - sigma W on the nodes before and after
+    p (each the problem held at zero at p), eliminating both leaves the
+    1x1 Schur complement s of node p, and K - sigma W is congruent to
+    diag(A, B, s).  So if A and B have L D L^T factors (dpttrf) and
+    s < 0, K - sigma W has exactly one negative eigenvalue (Sylvester's
+    law of inertia), and for sigma > 0 it is the constants' 0:
+    0 < sigma < mu1.  A solve is one dpttrs per block and two axpys.
+    """
+    d, e = _band(op, sigma)
+    if not 0 < p < d.size - 1:
+        raise LinAlgError(f"split node {p} leaves a block empty")
+    a, b = e[p - 1], e[p]  # node p's couplings to p - 1 and p + 1
+    left = cholesky_banded(d[:p], e[:p - 1])
+    right = cholesky_banded(d[p + 1:], e[p + 1:])
+    g = np.zeros(p)
+    g[-1] = a
+    g = cho_solve_banded(left, g)
+    h = np.zeros(d.size - p - 1)
+    h[0] = b
+    h = cho_solve_banded(right, h)
+    s = d[p] - a * g[-1] - b * h[0]
+    if not s < 0:
+        raise LinAlgError(f"Schur complement {s:.3e} at node {p} not negative")
+
+    def solve(r):
+        x = np.empty(r.size)
+        y = cho_solve_banded(left, r[:p])
+        z = cho_solve_banded(right, r[p + 1:])
+        xp = x[p] = (r[p] - a * y[-1] - b * z[0]) / s
+        np.subtract(y, xp * g, out=x[:p])
+        np.subtract(z, xp * h, out=x[p + 1:])
+        return x
+
+    return solve
+
+
+def _sign_change(y: np.ndarray) -> int:
+    """Of the two nodes around y's first sign change, the one where |y|
+    is smaller."""
+    neg = np.signbit(y)
+    i = int(np.argmax(neg[1:] != neg[:-1]))
+    return i if abs(y[i]) <= abs(y[i + 1]) else i + 1
+
+
+def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray) -> tuple:
+    """(sigma, solver) for the near shift sigma = lam (1 - DELTA) from
+    the quotient lam of the iterate y, kept only where the factor that
+    does the solves certifies it (LinAlgError otherwise).
+
+    Vector kind: K - sigma W factors (_factor), so sigma lies below
+    lambda_min.  Sphere-like scalar kind: the split at y's sign change
+    (_split_factor) leaves only the constants below sigma.  The periodic
+    scalar kind has no such certificate (its eigenfunction changes sign
+    twice) and is always refused.
+    """
+    sigma = lam * (1.0 - DELTA)
+    if op.kind is OperatorKind.ROUGH_VECTOR:
+        return sigma, _factor(op, sigma)
+    if op._periodic:
+        raise LinAlgError("no near-shift certificate for a periodic "
+                          "scalar operator")
+    return sigma, _split_factor(op, sigma, _sign_change(y))
 
 
 def _parity(kind: OperatorKind) -> str:
@@ -322,10 +422,15 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     """Shifted inverse iteration on K f = lambda W f from _seed(op).
 
     One step solves (K - sigma W) y = W x and takes lambda as the
-    difference-form quotient of y.  Iteration stops once lambda moved
-    by at most CHANGE_TOL max(|lambda|, eps ||K|| / max W) in the step
-    and the normwise backward error (Rigal-Gaches) eta = ||K y - lambda
-    W y|| / ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
+    difference-form quotient of y.  sigma is the near shift of the
+    seed's quotient (_near_shift) if its factor certifies it, else the
+    far shift -SHIFT max(1, |lambda_0|); in that case the first step
+    that moves lambda by at most RETRY |lambda| tries the near shift of
+    the current iterate once more, and a second refusal keeps the far
+    shift to the end.  Iteration stops once lambda moved by at most
+    CHANGE_TOL max(|lambda|, eps ||K|| / max W) in the step and the
+    normwise backward error (Rigal-Gaches) eta = ||K y - lambda W y|| /
+    ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
     Since K y = W x + sigma W y, that residual costs no matvec; the
     returned residual is eta recomputed with an explicit K x at the
     accepted iterate.
@@ -363,10 +468,15 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     if lam == 0.0:
         # every flux and potential term vanishes: the seed spans the
         # kernel (constants on a flat product) and needs no step
-        return lam, y, 0, backward_error(op.matvec(y), lam, y)
+        return lam, y, 0, backward_error(op.matvec(y), lam, y), None
 
-    sigma = -SHIFT * max(1.0, abs(lam))
-    solve = _factor(op, sigma)
+    retry = False
+    try:
+        sigma, solve = _near_shift(op, lam, y)
+    except LinAlgError:
+        retry = True
+        sigma = -SHIFT * max(1.0, abs(lam))
+        solve = _factor(op, sigma)
     change = math.inf
     for it in range(1, max_iter + 1):
         Wx = Wy
@@ -386,7 +496,13 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
         Wy *= s
         if eta <= BACKWARD_TOL:
             return lam, y, it, backward_error(op.matvec(y) - lam * Wy,
-                                              lam, y)
+                                              lam, y), sigma
+        if retry and change <= RETRY * abs(lam):
+            retry = False
+            try:
+                sigma, solve = _near_shift(op, lam, y)
+            except LinAlgError:
+                pass
     eta = backward_error(op.matvec(y) - lam * Wy, lam, y)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "
@@ -396,7 +512,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
 
 
 def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
-             residual: float) -> SpectralResult:
+             residual: float, shift: Optional[float]) -> SpectralResult:
     _fix_sign(x)
     grid = op.grid
     vector = op.kind is OperatorKind.ROUGH_VECTOR
@@ -412,7 +528,7 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
     cls = InvariantField if vector else InvariantFunction
     return SpectralResult(lam=lam, eigenfunction=cls(values=values, grid=grid),
                           iterations=iterations, residual=residual,
-                          grid_N=grid.N)
+                          shift=shift, grid_N=grid.N)
 
 
 def _eigenpair(op: DiscreteOperator, kind: OperatorKind, max_iter: int,

@@ -67,6 +67,109 @@ def test_factor_refuses_indefinite_shift(request, profile, kind):
         spectral._factor(op, sigma=50.0)
 
 
+def _dense_eigh(op):
+    """Eigenvalues and W-orthonormal eigenvectors of the dense pencil."""
+    return scipy.linalg.eigh(_dense(op), np.diag(op.weight))
+
+
+def test_split_factor_matches_dense_solve(bump01_n2):
+    # pinned at the sign change of the dense mu1 eigenvector, with
+    # 0 < sigma < mu1, the split solves K - sigma W exactly
+    op, _, _ = _op(bump01_n2, OperatorKind.SCALAR_LAPLACIAN, 64)
+    mu, v = _dense_eigh(op)
+    sigma = 0.99 * mu[1]
+    b = np.random.default_rng(3).standard_normal(op.size)
+    ref = np.linalg.solve(_dense(op) - sigma * np.diag(op.weight), b)
+    x = spectral._split_factor(op, sigma, spectral._sign_change(v[:, 1]))(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_factor_refuses_a_vector_shift_above_lambda_min(bump01_n2):
+    op, _, _ = _op(bump01_n2, OperatorKind.ROUGH_VECTOR, 256)
+    lam = _dense_eigh(op)[0][0]
+    spectral._factor(op, lam * (1 - 1e-3))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        spectral._factor(op, lam * (1 + 1e-3))
+
+
+def test_factor_refuses_a_periodic_shift_by_the_determinant_lemma(
+        periodic_n3):
+    # just above lambda_min the tridiagonal T' still has an L D L^T
+    # factor; only the Sherman-Morrison term 1 + c u^T T'^{-1} u says
+    # that K - sigma W is indefinite
+    op, _, _ = _op(periodic_n3, OperatorKind.ROUGH_VECTOR, 256)
+    lam = _dense_eigh(op)[0][0]
+    spectral._factor(op, lam * (1 - 1e-3))
+    with pytest.raises(np.linalg.LinAlgError, match="determinant-lemma"):
+        spectral._factor(op, lam * (1 + 1e-3))
+
+
+def test_split_factor_refuses_a_shift_above_mu1_or_off_the_sign_change(
+        bump01_n2):
+    op, _, _ = _op(bump01_n2, OperatorKind.SCALAR_LAPLACIAN, 256)
+    mu, v = _dense_eigh(op)
+    p = spectral._sign_change(v[:, 1])
+    spectral._split_factor(op, mu[1] * (1 - 1e-2), p)
+    # above mu1 one of the two blocks is indefinite (Cauchy interlacing)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        spectral._split_factor(op, mu[1] * (1 + 1e-3), p)
+    # pinned a quarter of the way along, the longer block's own lowest
+    # eigenvalue lies below sigma
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        spectral._split_factor(op, mu[1] * (1 - 1e-2), op.size // 4)
+    with pytest.raises(np.linalg.LinAlgError, match="empty"):
+        spectral._split_factor(op, mu[1] * (1 - 1e-2), 0)
+    # below 0 both blocks factor, but so does all of K - sigma W: the
+    # Schur complement is positive and nothing certifies sigma < mu1
+    with pytest.raises(np.linalg.LinAlgError, match="Schur complement"):
+        spectral._split_factor(op, -0.3, p)
+
+
+def _refuse(*args):
+    raise np.linalg.LinAlgError("refused")
+
+
+@pytest.mark.parametrize("profile, kind, force, message", [
+    ("bump01_n2", OperatorKind.ROUGH_VECTOR, "above", "positive definite"),
+    ("periodic_n3", OperatorKind.ROUGH_VECTOR, "above", "determinant-lemma"),
+    ("bump01_n2", OperatorKind.SCALAR_LAPLACIAN, "above", "positive definite"),
+    ("bump01_n2", OperatorKind.SCALAR_LAPLACIAN, "off_node",
+     "positive definite"),
+])
+def test_refused_near_shift_keeps_the_far_shift(request, monkeypatch,
+                                                profile, kind, force,
+                                                message):
+    # a near shift above the eigenvalue sought (DELTA < 0) or a split
+    # pinned a quarter of the way along is refused at the seed and at
+    # the re-try, and the solve is then the far-shift one alone
+    op, _, _ = _op(request.getfixturevalue(profile), kind, 1024)
+    solve = (smallest_eigenpair if kind is OperatorKind.ROUGH_VECTOR
+             else first_nonzero_scalar_eigenvalue)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_near_shift", _refuse)
+        far = solve(op)
+    refusals = []
+    near = spectral._near_shift
+
+    def spy(*args):
+        try:
+            return near(*args)
+        except np.linalg.LinAlgError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(spectral, "_near_shift", spy)
+    if force == "above":
+        monkeypatch.setattr(spectral, "DELTA", -spectral.DELTA)
+    else:
+        monkeypatch.setattr(spectral, "_sign_change", lambda y: y.size // 4)
+    res = solve(op)
+    assert len(refusals) == 2
+    assert all(message in r for r in refusals), refusals
+    assert res.shift == far.shift < 0
+    assert res.lam == pytest.approx(far.lam, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", list(OperatorKind))
 @pytest.mark.parametrize("profile", ["round_n2", "periodic_n3"])
 def test_factor_leaves_operator_alone(request, profile, kind):
@@ -171,6 +274,31 @@ def test_eigenvalue_matches_dense_eigh(family, params, n, kind):
         == pytest.approx(want, rel=1e-10)
 
 
+def _asymmetric_spline(i):
+    """Spline i of 40 fixed sphere-like profiles sin r (1 + sum_j a_j
+    sin^2(j r) + b sin r cos r), j = 1..3, with n = 2 + i % 6: phi > 0
+    inside, slopes +1 / -1 at the poles, and no mirror symmetry, so the
+    scalar eigenfunction's sign change sits off the seed's."""
+    rng = np.random.default_rng(i)
+    a, b = rng.uniform(-0.15, 0.15, 3), rng.uniform(-0.3, 0.3)
+    r = np.linspace(0.0, math.pi, 129)
+    s = np.sin(r)
+    phi = s * (1.0 + sum(aj * np.sin(j * r) ** 2
+                         for j, aj in enumerate(a, 1)) + b * s * np.cos(r))
+    return profile_from_samples(r, phi, 2 + i % 6)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("i", range(40))
+def test_eigenvalue_matches_dense_eigh_on_asymmetric_splines(i, kind):
+    # whichever shift each solve ends on, near (seed or re-try) or far
+    profile = _asymmetric_spline(i)
+    op, _, _ = _op(profile, kind, 256)
+    want = _dense_eigh(op)[0][0 if kind is OperatorKind.ROUGH_VECTOR else 1]
+    assert solve_smallest(profile, kind, 256).lam \
+        == pytest.approx(want, rel=1e-10)
+
+
 _FINE_PROFILES = {
     "round": dict(family="Round", n=3, k=1.0),
     "bump": dict(family="Bump", n=3, eps=0.08),
@@ -234,7 +362,8 @@ def test_cold_fine_solve_starts_on_the_coarse_grid(name, n, kind, N):
     # on these multiples of 8 with N >= 8 * COARSE_N, a solve without a
     # start begins on a grid of 4096..8191 nodes, whose eigenfunction,
     # carried up by the cubic, leaves the N solve a single step (the
-    # analytic seed takes 5-12 off the round sphere)
+    # analytic seed takes 3-5 off the round sphere, and 10-13 for the
+    # periodic scalar kind, which keeps the far shift)
     spec = dict(_FINE_PROFILES[name], n=n)
     prof = make_preset(spec.pop("family"), **spec)
     geom = orbit_geometry(prof, grid_for(prof, N))
@@ -278,6 +407,54 @@ def test_failed_coarse_solve_falls_back_to_the_seed(kind, N, levels, sizes,
         == (cold[-1].iterations, cold[-1].residual)
     np.testing.assert_array_equal(res.eigenfunction.values,
                                   cold[-1].eigenfunction.values)
+
+
+# most steps per solve below the coarse-start grids, by (kind, started
+# from the half grid); the far shift alone takes 5-9, 2-5 and 6-17
+_STEP_LIMITS = {
+    (OperatorKind.ROUGH_VECTOR, False): 3,
+    (OperatorKind.ROUGH_VECTOR, True): 2,
+    (OperatorKind.SCALAR_LAPLACIAN, False): 4,
+    (OperatorKind.SCALAR_LAPLACIAN, True): 4,
+}
+_STEP_PROFILES = [("Round", {"k": 1.0}), ("Bump", {"eps": 0.08}),
+                  ("Bump", {"eps": 0.25})]
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("entry, family, params", [
+    (entry, family, params) for entry in
+    ("check_bound", "obata_check", "vector", "scalar")
+    for family, params in _STEP_PROFILES
+    # obata_check refuses kappa2 = 1 - 6 eps < 0
+    if not (entry == "obata_check" and params.get("eps") == 0.25)])
+def test_every_solve_keeps_a_near_shift(monkeypatch, entry, family, params,
+                                        n, N):
+    # every solve of these entry points ends on a certified near shift,
+    # in at most _STEP_LIMITS steps: a silent fallback to the far shift
+    # fails here
+    solves = []
+    iterate = spectral._inverse_iterate
+
+    def spy(op, max_iter, start=None):
+        out = iterate(op, max_iter, start)
+        solves.append((op.kind, start is not None, out[2], out[-1]))
+        return out
+
+    monkeypatch.setattr(spectral, "_inverse_iterate", spy)
+    profile = make_preset(family, n=n, **params)
+    if entry == "check_bound":
+        cohomlab.check_bound(profile, N=N)
+    elif entry == "obata_check":
+        cohomlab.obata_check(profile, N=N)
+    else:
+        solve_smallest(profile, OperatorKind.ROUGH_VECTOR if entry == "vector"
+                       else OperatorKind.SCALAR_LAPLACIAN, N, richardson=True)
+    assert solves
+    for kind, warm, steps, shift in solves:
+        assert shift > 0, (kind, warm)
+        assert steps <= _STEP_LIMITS[kind, warm], (kind, warm)
 
 
 def _phase_trap(p):
@@ -416,18 +593,23 @@ def test_flat_periodic_is_exact_kernel():
     res = solve_smallest(flat, OperatorKind.ROUGH_VECTOR, 256)
     assert res.lam == 0.0
     assert res.iterations == 0  # the seed already solves it
+    assert res.shift is None
     v = res.eigenfunction.values
     assert np.max(np.abs(v - v[0])) == 0.0
 
 
 @pytest.mark.parametrize("entry", ["check_bound", "richardson"])
-@pytest.mark.parametrize("N", [2 ** 16, 3 * 2 ** 15])
+@pytest.mark.parametrize("N", [256, 1024, 4096, 2 ** 16, 3 * 2 ** 15])
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_flat_periodic_stops_at_the_rounding_floor(n, N, entry):
     # the coarse start carried up by the cubic gives the constants a
     # quotient of about 1e-21, not the exact 0 that skips iteration, and
     # a change relative to |lam| alone never passes there: the stop rule
-    # floors |lam| at the operator's rounding scale eps ||K|| / max W
+    # floors |lam| at the operator's rounding scale eps ||K|| / max W.
+    # The near shift lam (1 - DELTA) is as small there, K - sigma W is
+    # singular to working precision, and rounding alone decides whether
+    # its factor is kept.  Below 2^15 the half grid's constants carried
+    # up stay exactly constant and need no step
     flat = make_preset("PeriodicProduct", n=n, c=1.0, a=0.0)
     if entry == "check_bound":
         lam = cohomlab.check_bound(flat, N=N).lambda_min
