@@ -19,18 +19,63 @@ grad (nonnegative).
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .fields import InvariantField, InvariantFunction
 from .geometry import OrbitGeometry, orbit_geometry
 from .warp import RadialGrid, Topology, WarpProfile, grid_for
+
+
+def _load_lapack():
+    """scipy's f2py LAPACK extension module, whose dpttrf and dpttrs are
+    the functions scipy.linalg.lapack exports, loaded by path without
+    scipy.linalg's package import, which is most of a cold start; the
+    public module if the extension file is not there.
+
+    Loading the extension loads scipy's OpenBLAS, which starts a worker
+    thread that busy-waits on another core for its thread timeout
+    (about 0.1-0.2 s by default) before it sleeps; dpttrf and dpttrs
+    never wake it.  Unless the user has set OPENBLAS_THREAD_TIMEOUT or
+    GOTO_THREAD_TIMEOUT, the load runs with OpenBLAS's shortest timeout
+    (4), so the worker sleeps at once; the library reads the variable
+    when it is mapped, in module_from_spec, and the environment is
+    restored right after.  For the rest of the process that OpenBLAS
+    copy's idle workers sleep right after each threaded call.
+    """
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    paths = [os.path.join(folder, "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        return importlib.import_module("scipy.linalg.lapack")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                  path)
+    quiet = not {"OPENBLAS_THREAD_TIMEOUT",
+                 "GOTO_THREAD_TIMEOUT"} & os.environ.keys()
+    if quiet:
+        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        module = importlib.util.module_from_spec(spec)
+    finally:
+        if quiet:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
+dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 
 # normwise backward error ||K x - lam W x|| / ((||K|| + |lam| ||W||) ||x||)
 # at which an iterate counts as an exact eigenpair of a nearby problem

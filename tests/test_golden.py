@@ -14,7 +14,11 @@ and lists every moved digit, old and new value, in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import json
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -68,6 +72,32 @@ def test_geometry_csv_matches_golden_sha256(config, tmp_path):
     code, digest = _csv_sha256(config, tmp_path)
     assert code == 0
     assert digest == _golden_sha256(config).read_text(encoding="utf-8")
+
+
+def test_verify_matches_golden_after_scipy_linalg(package_env):
+    # cohomlab loads scipy's LAPACK extension by path; a program that
+    # imported scipy.linalg first gets the same extension module and
+    # must print the same digits
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import scipy.linalg
+        from cohomlab.cli import main
+        outs = []
+        for path in sys.argv[1:]:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                outs.append(main(["verify", "--config", path]))
+            outs.append(buf.getvalue())
+        print(json.dumps(outs))
+    """)
+    paths = [str(ROOT / "configs" / f"{config}.json") for config in CONFIGS]
+    out = subprocess.run([sys.executable, "-c", code, *paths],
+                         capture_output=True, text=True, check=True,
+                         env=package_env).stdout
+    expected = []
+    for config in CONFIGS:
+        expected += [0, _golden(config, "verify").read_text(encoding="utf-8")]
+    assert json.loads(out) == expected
 
 
 if __name__ == "__main__":

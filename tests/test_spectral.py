@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import subprocess
 import sys
@@ -485,7 +486,10 @@ def test_fine_solve_stays_on_one_core(package_env):
     # a BLAS dot product on more than 10^4 doubles wakes OpenBLAS's
     # thread pool, whose workers then spin on the other cores: the
     # CPU time of a fine solve would be about twice its wall time on
-    # two cores.  A fresh interpreter keeps other tests' threads out.
+    # two cores.  So does the startup spin: loading scipy's OpenBLAS
+    # at import starts a worker that busy-waits for its thread timeout
+    # (0.1-0.2 s by default) unless the load shortens it.  A fresh
+    # interpreter keeps other tests' threads out.
     code = textwrap.dedent("""
         import time
         from cohomlab import OperatorKind, make_preset, solve_smallest
@@ -502,6 +506,54 @@ def test_fine_solve_stays_on_one_core(package_env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=package_env).stdout
     assert float(out) <= 1.3
+
+
+LOADER_CHECK = """
+import importlib.util, json, os, sys
+{before}
+seen = []
+real = importlib.util.module_from_spec
+def spy(spec):
+    seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+    return real(spec)
+importlib.util.module_from_spec = spy
+env = dict(os.environ)
+from cohomlab import spectral
+facts = {{"loaded": [m for m in ("scipy.linalg", "numpy.f2py")
+                    if m in sys.modules],
+          "env_kept": dict(os.environ) == env, "seen": seen}}
+import numpy as np, scipy.linalg
+facts["same"] = (scipy.linalg.lapack.dpttrf is spectral.dpttrf
+                 and scipy.linalg.lapack.dpttrs is spectral.dpttrs)
+facts["eigh"] = scipy.linalg.eigh(np.diag([2.0, 1.0]), eigvals_only=True
+                                  ).tolist()
+print(json.dumps(facts))
+"""
+
+
+@pytest.mark.parametrize("before,user,loaded,seen", [
+    # cohomlab first: the extension is loaded by path, with OpenBLAS's
+    # shortest thread timeout in the environment during the load only
+    ("", {}, [], ["4"]),
+    # a timeout the user set is the one OpenBLAS reads
+    ("", {"OPENBLAS_THREAD_TIMEOUT": "8"}, [], ["8"]),
+    ("", {"GOTO_THREAD_TIMEOUT": "8"}, [], [None]),
+    # scipy.linalg first: the same extension module, already loaded
+    ("import scipy.linalg", {}, ["scipy.linalg", "numpy.f2py"], ["4"]),
+    # no extension file: the public import
+    ("import importlib.machinery\n"
+     "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']", {},
+     ["scipy.linalg", "numpy.f2py"], []),
+])
+def test_lapack_loader(package_env, before, user, loaded, seen):
+    env = {k: v for k, v in package_env.items()
+           if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
+    out = subprocess.run(
+        [sys.executable, "-c", LOADER_CHECK.format(before=before)],
+        capture_output=True, text=True, check=True, env={**env, **user})
+    facts = json.loads(out.stdout)
+    assert facts == {"loaded": loaded, "env_kept": True, "seen": seen,
+                     "same": True, "eigh": [1.0, 2.0]}
 
 
 def test_start_must_live_on_the_half_grid(round_n2):
