@@ -210,13 +210,15 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
           base_params: Optional[dict] = None) -> tuple:
     """check_bound across a preset family; one row per parameter value.
 
-    param (default: the family's sweep_param) and base_params are
-    checked against warp.PRESETS, and N is refused unless check_bound's
-    half grid exists (even N >= 32), before any row runs.  A failing row
-    carries its error message instead of aborting the sweep.
+    n is refused unless an integer >= 2, param (default: the family's
+    sweep_param) and base_params unless warp.PRESETS has them, and N
+    unless check_bound's half grid exists (even N >= 32), all before any
+    row runs.  A failing row carries its error message instead of
+    aborting the sweep.
     obata_defect is |mu1 - n*kappa2| (well-defined for any sign of kappa2).
     """
     preset = lookup_preset(family)
+    n = WarpProfile.dimension(n)
     param = preset.sweep_param if param is None else param
     base = dict(base_params or {})
     preset.check([param, *base])

@@ -304,9 +304,30 @@ def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _band(op: DiscreteOperator, sigma: float) -> tuple:
-    """Fresh diagonal d and off-diagonal e of K - sigma W without the
-    periodic wrap-around entry."""
+def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None):
+    """Solver for K - sigma W from one tridiagonal L D L^T factor
+    (dpttrf), which certifies that no eigenvalue lies below sigma, or
+    with a pin exactly one (LinAlgError if not).
+
+    A sphere-like grid without a pin factors K - sigma W itself.
+    Otherwise one retained node p is taken out: the pin, or node 0 on a
+    circle, where the wrap-around entry couples it to the last node.
+    What is factored is K - sigma W with the identity in row and column
+    p, a tridiagonal diag(B, 1, B') (B empty at node 0) whose zero
+    couplings leave each block's pivots exact.  K - sigma W is
+    congruent to diag(B, B', s) with s the 1x1 Schur complement of node
+    p, so by Sylvester's law of inertia s > 0 leaves no eigenvalue below
+    sigma and s < 0 exactly one, for a scalar operator and sigma > 0
+    the constants' 0: 0 < sigma < mu1 (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 3).  A solve is one dpttrs and an axpy.  A
+    circle takes no pin: what is left of it after a node other than 0
+    is not tridiagonal, and after node 0 its scalar problem keeps an
+    eigenvalue below mu1 (mu1 / 4 on a flat circle), so no near shift
+    would factor.
+    """
+    periodic = op._periodic
+    if pin is not None and periodic:
+        raise ValueError("a periodic operator takes no pin")
     # the diagonal is summed before it meets -sigma W: adding its two
     # terms to -sigma W one at a time rounds differently and moves
     # printed last digits.  d and e are fresh arrays: the factor
@@ -315,87 +336,39 @@ def _band(op: DiscreteOperator, sigma: float) -> tuple:
     if op.potential is not None:
         d += op.potential
     d += op.weight * -sigma
-    return d, -(op.cond[:-1] if op._periodic else op.cond[1:-1])
+    e = -(op.cond[:-1] if periodic else op.cond[1:-1])
+    if pin is None and not periodic:
+        factor = cholesky_banded(d, e)
+        return lambda b: cho_solve_banded(factor, b)
 
-
-def _factor(op: DiscreteOperator, sigma: float):
-    """Solver for K - sigma W from its tridiagonal L D L^T factor, which
-    certifies that K - sigma W is positive definite, that is, sigma
-    below every eigenvalue (LinAlgError if not).
-
-    For the periodic case K_c = T' + c u u^T with u = e_0 + e_{M-1} and
-    c = -cond[-1] < 0 the wrap-around entry, so a single Sherman-Morrison
-    correction recovers the cyclic solve from the factor of T' =
-    K_c - c u u^T.  T' can be positive definite while K_c is not: by
-    the determinant lemma K_c is so exactly when T' is and
-    1 + c u^T T'^{-1} u > 0.
-    """
-    d, e = _band(op, sigma)
-    periodic = op._periodic
+    p = pin or 0
+    # node p's couplings (neighbour, entry), the wrap-around one last
+    links = [(i, float(e[min(i, p)])) for i in (p - 1, p + 1)
+             if 0 <= i < d.size]
     if periodic:
-        corner = float(-op.cond[-1])
-        d[0] -= corner
-        d[-1] -= corner
+        links.append((d.size - 1, float(-op.cond[-1])))
+    s = float(d[p])
+    d[p] = 1.0
+    e[max(p - 1, 0):p + 1] = 0.0
     factor = cholesky_banded(d, e)
-
-    def chol_solve(b):
-        return cho_solve_banded(factor, b)
-
-    if not periodic:
-        return chol_solve
-
-    u = np.zeros(op.size)
-    u[0] = u[-1] = 1.0
-    z = chol_solve(u)
-    lemma = 1.0 + corner * (z[0] + z[-1])
-    if not lemma > 0:
-        raise LinAlgError(f"determinant-lemma term {lemma:.3e} not positive")
-    scale = corner / lemma
-
-    def solve(b):
-        y = chol_solve(b)
-        y -= (scale * (y[0] + y[-1])) * z
-        return y
-
-    return solve
-
-
-def _split_factor(op: DiscreteOperator, sigma: float, p: int):
-    """Solver for K - sigma W on a sphere-like scalar operator, pinned at
-    retained node p, which certifies that exactly one eigenvalue lies
-    below sigma (LinAlgError if not).
-
-    With A and B the blocks of K - sigma W on the nodes before and after
-    p (each the problem held at zero at p), eliminating both leaves the
-    1x1 Schur complement s of node p, and K - sigma W is congruent to
-    diag(A, B, s).  So if A and B have L D L^T factors (dpttrf) and
-    s < 0, K - sigma W has exactly one negative eigenvalue (Sylvester's
-    law of inertia), and for sigma > 0 it is the constants' 0:
-    0 < sigma < mu1.  A solve is one dpttrs per block and two axpys.
-    """
-    d, e = _band(op, sigma)
-    if not 0 < p < d.size - 1:
-        raise LinAlgError(f"split node {p} leaves a block empty")
-    a, b = e[p - 1], e[p]  # node p's couplings to p - 1 and p + 1
-    left = cholesky_banded(d[:p], e[:p - 1])
-    right = cholesky_banded(d[p + 1:], e[p + 1:])
-    g = np.zeros(p)
-    g[-1] = a
-    g = cho_solve_banded(left, g)
-    h = np.zeros(d.size - p - 1)
-    h[0] = b
-    h = cho_solve_banded(right, h)
-    s = d[p] - a * g[-1] - b * h[0]
-    if not s < 0:
-        raise LinAlgError(f"Schur complement {s:.3e} at node {p} not negative")
+    g = np.zeros(d.size)
+    for i, c in links:
+        g[i] += c
+    g = cho_solve_banded(factor, g)  # g[p] = 0
+    for i, c in links:
+        s -= c * g[i]
+    if not (s > 0 if pin is None else s < 0):
+        raise LinAlgError(f"Schur complement {s:.3e} at node {p} not "
+                          + ("positive" if pin is None else "negative"))
 
     def solve(r):
-        x = np.empty(r.size)
-        y = cho_solve_banded(left, r[:p])
-        z = cho_solve_banded(right, r[p + 1:])
-        xp = x[p] = (r[p] - a * y[-1] - b * z[0]) / s
-        np.subtract(y, xp * g, out=x[:p])
-        np.subtract(z, xp * h, out=x[p + 1:])
+        x = cho_solve_banded(factor, r)
+        xp = float(r[p])
+        for i, c in links:
+            xp -= c * x[i]
+        xp /= s
+        x -= xp * g
+        x[p] = xp
         return x
 
     return solve
@@ -414,11 +387,11 @@ def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray) -> tuple:
     the quotient lam of the iterate y, kept only where the factor that
     does the solves certifies it (LinAlgError otherwise).
 
-    Vector kind: K - sigma W factors (_factor), so sigma lies below
-    lambda_min.  Sphere-like scalar kind: the split at y's sign change
-    (_split_factor) leaves only the constants below sigma.  The periodic
-    scalar kind has no such certificate (its eigenfunction changes sign
-    twice) and is always refused.
+    Vector kind: _factor finds no eigenvalue below sigma, so sigma lies
+    below lambda_min.  Sphere-like scalar kind: pinned at y's sign
+    change, _factor finds one, the constants', so 0 < sigma < mu1.  The
+    periodic scalar kind has no such certificate (its eigenfunction
+    changes sign twice) and is always refused.
     """
     sigma = lam * (1.0 - DELTA)
     if op.kind is OperatorKind.ROUGH_VECTOR:
@@ -426,7 +399,7 @@ def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray) -> tuple:
     if op._periodic:
         raise LinAlgError("no near-shift certificate for a periodic "
                           "scalar operator")
-    return sigma, _split_factor(op, sigma, _sign_change(y))
+    return sigma, _factor(op, sigma, _sign_change(y))
 
 
 def _parity(kind: OperatorKind) -> str:

@@ -48,10 +48,20 @@ class WarpProfile:
     closure_tol: float = ANALYTIC_CLOSURE_TOL
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension n must be >= 2, got {self.n}")
+        # stored as a Python int, so that reports carrying n dump as JSON
+        object.__setattr__(self, "n", self.dimension(self.n))
         if not self.L > 0:
             raise ValueError(f"domain length must be positive, got {self.L}")
+
+    @staticmethod
+    def dimension(n) -> int:
+        """int(n); n must be an integer >= 2 (numpy integers pass, bool
+        not)."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+                or n < 2:
+            raise ValueError(f"dimension n must be an integer >= 2, "
+                             f"got {n!r}")
+        return int(n)
 
     @functools.cached_property
     def validation(self) -> "ValidationReport":

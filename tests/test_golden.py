@@ -1,5 +1,6 @@
 """Golden CLI outputs: the stdout of `verify`, of `spectrum --richardson`
-(both kinds) and of `geometry` on the committed configs, compared byte
+(both kinds) and of `geometry` on the committed configs, of `sweep` on
+bump02_n2 and of `converge` (both kinds) on periodic_n3, compared byte
 for byte with the files in tests/golden/, and the sha256 of the
 `geometry --csv` file, compared with its .sha256 file there.
 
@@ -32,8 +33,15 @@ COMMANDS = {
     "spectrum-vector": ["spectrum", "--richardson"],
     "spectrum-scalar": ["spectrum", "--richardson", "--kind", "scalar"],
     "geometry": ["geometry"],
+    "sweep": ["sweep"],
+    "converge-vector": ["converge"],
+    "converge-scalar": ["converge", "--kind", "scalar"],
 }
-CASES = [(config, command) for config in CONFIGS for command in COMMANDS]
+CASES = [(config, command) for config in CONFIGS
+         for command in ("verify", "spectrum-vector", "spectrum-scalar",
+                         "geometry")]
+CASES += [("bump02_n2", "sweep"), ("periodic_n3", "converge-vector"),
+          ("periodic_n3", "converge-scalar")]
 
 
 def _stdout(config, command, *extra):
@@ -46,7 +54,8 @@ def _stdout(config, command, *extra):
 
 
 def _golden(config, command):
-    return ROOT / "tests" / "golden" / f"{config}.{command}.json"
+    suffix = "csv" if command == "sweep" else "json"
+    return ROOT / "tests" / "golden" / f"{config}.{command}.{suffix}"
 
 
 def _csv_sha256(config, directory):

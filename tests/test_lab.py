@@ -85,6 +85,17 @@ def test_sweep_refuses_grid_without_half_grid_before_any_row(monkeypatch, N):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [1, 2.5, True])
+def test_sweep_refuses_a_bad_dimension_before_any_row(monkeypatch, n):
+    calls = []
+    monkeypatch.setattr(lab, "check_bound",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError,
+                       match="dimension n must be an integer >= 2"):
+        sweep("Bump", [0.0, 0.1], n=n)
+    assert calls == []
+
+
 def _solve_sizes(monkeypatch):
     """Grid size of every inverse iteration from now on."""
     seen = []

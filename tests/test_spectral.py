@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cohomlab
@@ -48,8 +48,8 @@ def test_assemble_shapes_and_boundaries(round_n2, periodic_n3):
 @pytest.mark.parametrize("kind", list(OperatorKind))
 @pytest.mark.parametrize("profile", ["round_n2", "periodic_n3"])
 def test_factor_matches_dense_solve(request, profile, kind):
-    # the band _factor builds from cond and potential, with the
-    # Sherman-Morrison corner on a circle, solves K - sigma W exactly
+    # the band _factor builds from cond and potential, with node 0
+    # pinned on a circle, solves K - sigma W exactly
     op, _, _ = _op(request.getfixturevalue(profile), kind, 64)
     sigma = -0.3
     b = np.random.default_rng(3).standard_normal(op.size)
@@ -73,15 +73,15 @@ def _dense_eigh(op):
     return scipy.linalg.eigh(_dense(op), np.diag(op.weight))
 
 
-def test_split_factor_matches_dense_solve(bump01_n2):
+def test_pinned_factor_matches_dense_solve(bump01_n2):
     # pinned at the sign change of the dense mu1 eigenvector, with
-    # 0 < sigma < mu1, the split solves K - sigma W exactly
+    # 0 < sigma < mu1, the factor solves K - sigma W exactly
     op, _, _ = _op(bump01_n2, OperatorKind.SCALAR_LAPLACIAN, 64)
     mu, v = _dense_eigh(op)
     sigma = 0.99 * mu[1]
     b = np.random.default_rng(3).standard_normal(op.size)
     ref = np.linalg.solve(_dense(op) - sigma * np.diag(op.weight), b)
-    x = spectral._split_factor(op, sigma, spectral._sign_change(v[:, 1]))(b)
+    x = spectral._factor(op, sigma, spectral._sign_change(v[:, 1]))(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -93,37 +93,93 @@ def test_factor_refuses_a_vector_shift_above_lambda_min(bump01_n2):
         spectral._factor(op, lam * (1 + 1e-3))
 
 
-def test_factor_refuses_a_periodic_shift_by_the_determinant_lemma(
+def test_factor_refuses_a_periodic_shift_by_the_schur_complement(
         periodic_n3):
-    # just above lambda_min the tridiagonal T' still has an L D L^T
-    # factor; only the Sherman-Morrison term 1 + c u^T T'^{-1} u says
-    # that K - sigma W is indefinite
+    # just above lambda_min the nodes left after node 0 still have an
+    # L D L^T factor (Cauchy interlacing); only the sign of node 0's
+    # Schur complement says that K - sigma W is indefinite
     op, _, _ = _op(periodic_n3, OperatorKind.ROUGH_VECTOR, 256)
     lam = _dense_eigh(op)[0][0]
     spectral._factor(op, lam * (1 - 1e-3))
-    with pytest.raises(np.linalg.LinAlgError, match="determinant-lemma"):
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Schur complement .* at node 0 not positive"):
         spectral._factor(op, lam * (1 + 1e-3))
 
 
-def test_split_factor_refuses_a_shift_above_mu1_or_off_the_sign_change(
+def test_pinned_factor_refuses_a_shift_above_mu1_or_off_the_sign_change(
         bump01_n2):
     op, _, _ = _op(bump01_n2, OperatorKind.SCALAR_LAPLACIAN, 256)
     mu, v = _dense_eigh(op)
     p = spectral._sign_change(v[:, 1])
-    spectral._split_factor(op, mu[1] * (1 - 1e-2), p)
+    spectral._factor(op, mu[1] * (1 - 1e-2), p)
     # above mu1 one of the two blocks is indefinite (Cauchy interlacing)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        spectral._split_factor(op, mu[1] * (1 + 1e-3), p)
-    # pinned a quarter of the way along, the longer block's own lowest
-    # eigenvalue lies below sigma
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        spectral._split_factor(op, mu[1] * (1 - 1e-2), op.size // 4)
-    with pytest.raises(np.linalg.LinAlgError, match="empty"):
-        spectral._split_factor(op, mu[1] * (1 - 1e-2), 0)
+        spectral._factor(op, mu[1] * (1 + 1e-3), p)
+    # pinned a quarter of the way along, or at the first node, the
+    # longer block's own lowest eigenvalue lies below sigma
+    for q in (op.size // 4, 0):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            spectral._factor(op, mu[1] * (1 - 1e-2), q)
     # below 0 both blocks factor, but so does all of K - sigma W: the
     # Schur complement is positive and nothing certifies sigma < mu1
-    with pytest.raises(np.linalg.LinAlgError, match="Schur complement"):
-        spectral._split_factor(op, -0.3, p)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Schur complement .* not negative"):
+        spectral._factor(op, -0.3, p)
+
+
+@pytest.mark.parametrize("pin", [0, 5])
+def test_factor_refuses_a_pin_on_a_circle(periodic_n3, pin):
+    # a circle minus a node other than 0 is no tridiagonal, and minus
+    # node 0 its scalar problem keeps an eigenvalue below mu1
+    op, _, _ = _op(periodic_n3, OperatorKind.SCALAR_LAPLACIAN, 64)
+    with pytest.raises(ValueError, match="takes no pin"):
+        spectral._factor(op, 0.5, pin)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(preset=st.sampled_from([("Round", {"k": 1.0}),
+                               ("Bump", {"eps": 0.1}),
+                               ("PeriodicProduct", {"c": 1.0, "a": 0.3}),
+                               ("PeriodicProduct", {"c": 1.0, "a": 0.0})]),
+       kind=st.sampled_from(list(OperatorKind)),
+       n=st.integers(2, 5), N=st.sampled_from([16, 64, 256]),
+       t=st.floats(-1.5, 1.0),
+       pin=st.one_of(st.integers(-2, 2), st.floats(0.0, 1.0)))
+def test_factor_certificate_matches_dense_inertia(preset, kind, n, N, t,
+                                                   pin):
+    # whenever _factor returns, a dense generalized eigh counts exactly
+    # the eigenvalues below sigma that its certificate claims: none, or
+    # with a pin (sphere-like scalar kind) one, and it solves
+    # K - sigma W exactly
+    name, params = preset
+    op, grid, _ = _op(make_preset(name, n=n, **params), kind, N)
+    lams, v = _dense_eigh(op)
+    pinned = (kind is OperatorKind.SCALAR_LAPLACIAN
+              and grid.topology is Topology.SPHERE_LIKE)
+    # sigma spans the gaps on both sides of the lowest eigenvalue it
+    # must stay below, lams[j], but keeps clear of every eigenvalue,
+    # where neither oracle is exact
+    j = 1 if pinned else 0
+    below = lams[j] - lams[j - 1] if j else lams[1] - lams[0]
+    sigma = lams[j] + t * (lams[j + 1] - lams[j] if t > 0 else below)
+    assume(np.min(np.abs(lams - sigma)) >= 1e-5 * lams[-1])
+    # an int pin is an offset from the sign change of the dense mu1
+    # eigenvector, a float one a fraction of the way along the grid
+    p = None
+    if pinned and isinstance(pin, int):
+        p = min(max(spectral._sign_change(v[:, 1]) + pin, 0), op.size - 1)
+    elif pinned:
+        p = min(int(pin * op.size), op.size - 1)
+    try:
+        solve = spectral._factor(op, sigma, p)
+    except np.linalg.LinAlgError:
+        return
+    assert np.sum(lams < sigma) == (1 if pinned else 0)
+    b = np.random.default_rng(N).standard_normal(op.size)
+    ref = np.linalg.solve(_dense(op) - sigma * np.diag(op.weight), b)
+    x = solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def _refuse(*args):
@@ -132,7 +188,7 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("profile, kind, force, message", [
     ("bump01_n2", OperatorKind.ROUGH_VECTOR, "above", "positive definite"),
-    ("periodic_n3", OperatorKind.ROUGH_VECTOR, "above", "determinant-lemma"),
+    ("periodic_n3", OperatorKind.ROUGH_VECTOR, "above", "Schur complement"),
     ("bump01_n2", OperatorKind.SCALAR_LAPLACIAN, "above", "positive definite"),
     ("bump01_n2", OperatorKind.SCALAR_LAPLACIAN, "off_node",
      "positive definite"),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -47,6 +48,24 @@ def test_bump_zero_eps_is_round():
     b = bump_profile(eps=0.0, n=2)
     r = np.linspace(0, math.pi, 33)
     np.testing.assert_allclose(b.phi(r), np.sin(r), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, 1, np.int64(1)])
+def test_profile_refuses_a_dimension_that_is_not_an_integer_ge_2(n):
+    with pytest.raises(ValueError,
+                       match="dimension n must be an integer >= 2"):
+        round_profile(k=1.0, n=n)
+
+
+def test_profile_stores_a_numpy_dimension_as_int():
+    # a numpy n used to leak into kappa2 and make bound_holds a
+    # numpy.bool_, which json.dumps refuses
+    p = round_profile(k=1.0, n=np.int64(3))
+    assert type(p.n) is int and p.n == 3
+    rep = check_bound(p, N=256)
+    assert type(rep.n) is int and type(rep.bound_holds) is bool
+    assert json.loads(json.dumps(dataclasses.asdict(rep),
+                                 default=lambda v: v.value))["n"] == 3
 
 
 @settings(max_examples=30, deadline=None)
