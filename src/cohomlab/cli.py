@@ -26,7 +26,7 @@ from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (ConvergenceError, OperatorKind, convergence_study,
                        solve_smallest)
-from .warp import Config, RadialGrid, cfg_int, cfg_list, read_config
+from .warp import Config, RadialGrid, read_config
 
 KINDS = {"vector": OperatorKind.ROUGH_VECTOR,
          "scalar": OperatorKind.SCALAR_LAPLACIAN}
@@ -71,12 +71,12 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _half_grid(N: int, where: str) -> int:
-    """RadialGrid.halvable(N), its refusal prefixed with where N came from."""
+def _half_grid(N: int) -> int:
+    """RadialGrid.halvable(N), its refusal naming config path 'grid.N'."""
     try:
         return RadialGrid.halvable(N)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise ValueError(f"config path 'grid.N': {exc}") from None
 
 
 def _cmd_geometry(cfg: Config, args) -> int:
@@ -105,11 +105,9 @@ def _cmd_geometry(cfg: Config, args) -> int:
 
 
 def _cmd_spectrum(cfg: Config, args) -> int:
-    profile = cfg.profile
-    N = cfg.grid.N if args.grid is None else cfg_int(args.grid, "--grid")
+    profile, N = cfg.profile, cfg.grid.N
     if args.richardson:
-        _half_grid(N, "config path 'grid.N'" if args.grid is None
-                   else "option '--grid'")
+        _half_grid(N)
     result = solve_smallest(profile, KINDS[args.kind], N,
                             richardson=args.richardson)
     payload = {
@@ -141,7 +139,7 @@ def _report_payload(rep: TheoremReport) -> dict:
 
 def _cmd_verify(cfg: Config, args) -> int:
     profile, grid = cfg.profile, cfg.grid
-    rep = check_bound(profile, N=_half_grid(grid.N, "config path 'grid.N'"))
+    rep = check_bound(profile, N=_half_grid(grid.N))
     _emit_json(_report_payload(rep), args.out)
     _say(f"verify {profile.preset_tag}: verdict={rep.verdict.value} "
          f"gap={rep.gap:.6g} (tol_disc={rep.tol_disc:.2g})")
@@ -152,7 +150,7 @@ def _cmd_sweep(cfg: Config, args) -> int:
     if cfg.sweep_values is None:
         raise ValueError("config path 'sweep': missing")
     rows = run_sweep(cfg.preset, cfg.sweep_values, n=cfg.profile.n,
-                     N=_half_grid(cfg.grid.N, "config path 'grid.N'"),
+                     N=_half_grid(cfg.grid.N),
                      param=cfg.sweep_param, base_params=cfg.params)
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")
@@ -167,15 +165,10 @@ def _cmd_sweep(cfg: Config, args) -> int:
 
 
 def _cmd_converge(cfg: Config, args) -> int:
-    profile, grids = cfg.profile, cfg.converge_grids
-    if args.grids:
-        # a non-integer entry stays text, for cfg_int to refuse by name
-        grids = cfg_list([int(g) if g.strip().isdecimal() else g
-                          for g in args.grids.split(",")], "--grids", cfg_int)
-    if not grids:
-        raise ValueError("config path 'converge.grids': missing "
-                         "(or pass --grids)")
-    study = convergence_study(profile, KINDS[args.kind], grids)
+    profile = cfg.profile
+    if not cfg.converge_grids:
+        raise ValueError("config path 'converge.grids': missing")
+    study = convergence_study(profile, KINDS[args.kind], cfg.converge_grids)
     orders = ["exact" if p is None else p for p in study.orders]
     payload = {
         "profile": profile.preset_tag,
@@ -208,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="extremal eigenvalue")
     common(p)
     p.add_argument("--kind", choices=KINDS, default="vector")
-    p.add_argument("--grid", type=int, help="override grid N")
     p.add_argument("--richardson", action="store_true",
                    help="extrapolate against the halved grid")
     p.add_argument("--csv", help="write eigenfunction CSV here")
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="grid convergence study")
     common(p)
     p.add_argument("--kind", choices=KINDS, default="vector")
-    p.add_argument("--grids", help="comma-separated grid sizes")
     p.set_defaults(func=_cmd_converge)
     return parser
 

@@ -660,12 +660,7 @@ def convergence_study(profile: WarpProfile, kind: OperatorKind,
     case such as the flat periodic product) the order is reported as
     exact (None).
     """
-    grids = [RadialGrid.integral(g) for g in grids]
-    if len(grids) < 3:
-        raise ValueError("convergence study needs at least 3 grids")
-    for a, b in zip(grids, grids[1:]):
-        if b != 2 * a:
-            raise ValueError("grids must double: got %d after %d" % (b, a))
+    grids = RadialGrid.doubling(grids)
     grid = grid_for(profile, RadialGrid.halvable(grids[-1], len(grids) - 1))
     lams = nested_solve(kind, orbit_geometry(profile, grid), len(grids))[0]
     orders = []

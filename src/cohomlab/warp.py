@@ -103,6 +103,17 @@ class RadialGrid:
                                  f"{2 * MIN_GRID}, got {got}")
         return N
 
+    @staticmethod
+    def doubling(grids) -> list:
+        """grids as integers, refused unless 3 or more, each twice the one
+        before: the family a convergence study solves."""
+        grids = [RadialGrid.integral(g) for g in grids]
+        if len(grids) < 3 or any(b != 2 * a
+                                 for a, b in zip(grids, grids[1:])):
+            raise ValueError(f"a convergence study needs 3 grids or more, "
+                             f"each double the one before, got {grids}")
+        return grids
+
     def half(self) -> "RadialGrid":
         return replace(self, N=self.halvable(self.N) // 2)
 
@@ -402,25 +413,15 @@ def ensure_usable(profile: WarpProfile) -> None:
 # {"n": int >= 2, "topology": "sphere_like"|"periodic",
 #  "preset": {"type": <a PRESETS name>|"samples", <its parameters>},
 #  "grid": {"N": int >= MIN_GRID},
-#  "sweep": {"param": a parameter of an analytic preset, "values": [number]
-#            | "start": number, "stop": number, "step": number},  (optional)
-#  "converge": {"grids": [int >= MIN_GRID]}}                       (optional)
+#  "sweep": {"param": <a preset parameter>, "values": [number]},  (optional)
+#  "converge": {"grids": [int >= MIN_GRID], 3 or more, doubling}} (optional)
 #
 # read_config checks the whole document at once, and refuses any key
-# outside it; errors name the config path, or a flag's option (_where).
+# outside it; errors name the config path.
 
 # top-level keys, each with its section's keys (None: not a keyed section)
 CONFIG_KEYS = {"n": None, "topology": None, "preset": None, "grid": ("N",),
-               "sweep": ("param", "values", "start", "stop", "step"),
-               "converge": ("grids",)}
-# rows a start/stop/step sweep may have; checked before any is built
-MAX_SWEEP_ROWS = 10 ** 6
-
-
-def _where(path: str) -> str:
-    """config path 'a.b[i]', or option '--x' for a flag (and its entries)."""
-    return (f"option '{path.partition('[')[0]}'" if path.startswith("--")
-            else f"config path '{path}'")
+               "sweep": ("param", "values"), "converge": ("grids",)}
 
 
 def _cfg_object(cfg, path: str, known=None) -> dict:
@@ -437,49 +438,33 @@ def _cfg_object(cfg, path: str, known=None) -> dict:
 
 def _cfg_get(cfg: dict, key: str, path: str):
     if key not in _cfg_object(cfg, path):
-        raise ValueError(f"{_where(path + key)}: missing")
+        raise ValueError(f"config path '{path}{key}': missing")
     return cfg[key]
 
 
 def _cfg_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
-        raise ValueError(
-            f"{_where(path)}: expected a finite number, got {value!r}")
+        raise ValueError(f"config path '{path}': expected a finite number, "
+                         f"got {value!r}")
     return float(value)
 
 
-def cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
+def _cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
     """value, refused (naming path) unless an integer >= minimum."""
     if isinstance(value, bool) or not isinstance(value, int) \
             or value < minimum:
-        raise ValueError(f"{_where(path)}: expected integer >= "
+        raise ValueError(f"config path '{path}': expected integer >= "
                          f"{minimum}, got {value!r}")
     return value
 
 
-def cfg_list(values, path: str, item=_cfg_real) -> list:
+def _cfg_list(values, path: str, item=_cfg_real) -> list:
     """values checked as a list, each entry by item(entry, its path)."""
     if not isinstance(values, list):
-        raise ValueError(f"{_where(path)}: expected a list, got {values!r}")
+        raise ValueError(f"config path '{path}': expected a list, "
+                         f"got {values!r}")
     return [item(v, f"{path}[{i}]") for i, v in enumerate(values)]
-
-
-def sweep_range(section: dict) -> list:
-    """start, start + step, ... up to stop, from a config's sweep section,
-    refused before any is built beyond MAX_SWEEP_ROWS."""
-    start, stop, step = (_cfg_real(_cfg_get(section, k, "sweep."),
-                                   "sweep." + k)
-                         for k in ("start", "stop", "step"))
-    if step <= 0 or stop < start:
-        raise ValueError("config path 'sweep.step': need step > 0 and "
-                         f"stop >= start, got {start!r}/{stop!r}/{step!r}")
-    steps = (stop - start) / step
-    # int(steps + 1e-9) + 1 rows; an overflowed (infinite) steps fails too
-    if not steps + 1e-9 < MAX_SWEEP_ROWS:
-        raise ValueError("config path 'sweep.step': too small, gives more "
-                         f"than {MAX_SWEEP_ROWS} rows, got {step!r}")
-    return [start + i * step for i in range(int(steps + 1e-9) + 1)]
 
 
 class Config(NamedTuple):
@@ -500,7 +485,7 @@ def read_config(cfg) -> Config:
     _cfg_object(cfg, "", CONFIG_KEYS)
     sections = {key: _cfg_object(cfg.get(key, {}), f"{key}.", known)
                 for key, known in CONFIG_KEYS.items() if known}
-    n = cfg_int(_cfg_get(cfg, "n", ""), "n", minimum=2)
+    n = _cfg_int(_cfg_get(cfg, "n", ""), "n", minimum=2)
     topo_name = _cfg_get(cfg, "topology", "")
     if topo_name not in ("sphere_like", "periodic"):
         raise ValueError(f"config path 'topology': expected 'sphere_like' "
@@ -512,8 +497,8 @@ def read_config(cfg) -> Config:
     if ptype == "samples":
         _cfg_object(preset, "preset.", ("type", "r", "phi"))
         profile = profile_from_samples(
-            cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
-            cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
+            _cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
+            _cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
             n=n, topology=topology)
     else:
         if entry is None:
@@ -529,18 +514,22 @@ def read_config(cfg) -> Config:
                          else preset.get(p, default), f"preset.{p}")
             for p, default in entry.defaults.items()}
         profile = entry.builder(n=n, **params)
-    N = cfg_int(_cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."), "grid.N")
-    sweep = sections["sweep"]
+    N = _cfg_int(_cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."), "grid.N")
+    sweep, converge = sections["sweep"], sections["converge"]
     param = sweep.get("param")
     if "sweep" in cfg and entry is None:
         raise ValueError("config path 'sweep': a 'samples' preset has no "
                          "parameter to sweep")
     if param is not None:
         entry.check([param], path="sweep.param")
-    values = (cfg_list(sweep["values"], "sweep.values") if "values" in sweep
-              else sweep_range(sweep) if "sweep" in cfg else None)
-    grids = cfg_list(sections["converge"].get("grids", []), "converge.grids",
-                     cfg_int)
+    values = (_cfg_list(_cfg_get(sweep, "values", "sweep."), "sweep.values")
+              if "sweep" in cfg else None)
+    grids = _cfg_list(converge.get("grids", []), "converge.grids", _cfg_int)
+    if "grids" in converge:
+        try:
+            RadialGrid.doubling(grids)
+        except ValueError as exc:
+            raise ValueError(f"config path 'converge.grids': {exc}") from None
     return Config(profile, grid_for(profile, N), ptype, params, param,
                   values, grids)
 

@@ -12,7 +12,6 @@ import cohomlab
 from cohomlab import ConvergenceError, profile_from_config
 from cohomlab.cli import main
 from cohomlab.lab import RigidityDiagnostics, TheoremReport, Verdict
-from cohomlab.warp import MAX_SWEEP_ROWS, sweep_range
 
 
 @pytest.fixture()
@@ -110,9 +109,10 @@ def test_spectrum_scalar_near_two(round_cfg, capsys):
     assert payload["residual"] >= 0
 
 
-def test_spectrum_richardson_and_grid_override(round_cfg, capsys):
-    code = main(["spectrum", "--config", round_cfg, "--grid", "1024",
-                 "--richardson"])
+def test_spectrum_richardson_at_config_grid(tmp_path, capsys):
+    path = tmp_path / "round.json"
+    path.write_text(json.dumps({**_ROUND, "n": 2, "grid": {"N": 1024}}))
+    code = main(["spectrum", "--config", str(path), "--richardson"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["grid_N"] == 1024
@@ -150,6 +150,16 @@ def test_no_subcommand_takes_tol(round_cfg, capsys, command):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--grid", "64"],
+                                  ["converge", "--grids", "64,128,256"]])
+def test_grid_flags_are_unknown_options(round_cfg, capsys, argv):
+    # grid sizes come from the config only: grid.N and converge.grids
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", round_cfg])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
 def test_sweep_csv_schema(periodic_cfg, capsys):
     code = main(["sweep", "--config", periodic_cfg])
     out = capsys.readouterr().out
@@ -183,9 +193,11 @@ def test_converge_orders_on_committed_config(capsys):
         assert payload["orders"] == [pytest.approx(order, abs=1e-3)]
 
 
-def test_converge_grids_flag(round_cfg, capsys):
-    code = main(["converge", "--config", round_cfg,
-                 "--grids", "128,256,512"])
+def test_converge_reads_config_grids(tmp_path, capsys):
+    path = tmp_path / "round.json"
+    path.write_text(json.dumps({**_ROUND, "n": 2,
+                                "converge": {"grids": [128, 256, 512]}}))
+    code = main(["converge", "--config", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["orders"][0] == pytest.approx(2.0, abs=0.2)
@@ -250,9 +262,14 @@ BAD_DOCUMENTS = [
                  "preset.k", id="samples-stray-key"),
     pytest.param("sweep", {"sweep": {"values": [None]}}, "sweep.values[0]",
                  id="sweep-values-null"),
-    pytest.param("sweep", {"sweep": {"start": None, "stop": 1.0,
-                                     "step": 0.5}},
-                 "sweep.start", id="sweep-start-null"),
+    pytest.param("sweep", {"sweep": {"start": 0.0, **_SWEEP}},
+                 "sweep.start", id="sweep-start-unknown"),
+    pytest.param("sweep", {"sweep": {"stop": 1.0, **_SWEEP}},
+                 "sweep.stop", id="sweep-stop-unknown"),
+    pytest.param("sweep", {"sweep": {"step": 0.5, **_SWEEP}},
+                 "sweep.step", id="sweep-step-unknown"),
+    pytest.param("sweep", {"sweep": {"param": "k"}}, "sweep.values",
+                 id="sweep-without-values"),
     pytest.param("sweep", {"sweep": {"param": ["k"], **_SWEEP}},
                  "sweep.param", id="sweep-param-list"),
     pytest.param("verify", {"sweep": {"param": "x", **_SWEEP}},
@@ -262,18 +279,16 @@ BAD_DOCUMENTS = [
                                       "phi": [0.0, 1.0, 1.0, 0.0]},
                            "sweep": _SWEEP},
                  "sweep", id="sweep-of-samples"),
-    pytest.param("sweep", {"sweep": {"start": 0.0, "stop": 1.0,
-                                     "step": 1e-320}},
-                 "sweep.step", id="sweep-step-overflows"),
-    pytest.param("sweep", {"sweep": {"start": 0.0, "stop": 1.0,
-                                     "step": 0.0}},
-                 "sweep.step", id="sweep-step-zero"),
     pytest.param("converge", {"converge": {"grids": [None]}},
                  "converge.grids[0]", id="converge-grids-null"),
     pytest.param("converge", {"converge": {"grids": "256"}},
                  "converge.grids", id="converge-grids-string"),
     pytest.param("converge", {"converge": [256]}, "converge",
                  id="converge-not-object"),
+    pytest.param("converge", {"converge": {"grids": [256, 300, 600]}},
+                 "converge.grids", id="converge-grids-not-doubling"),
+    pytest.param("converge", {"converge": {"grids": [256, 512]}},
+                 "converge.grids", id="converge-grids-too-few"),
     pytest.param("verify", {"sovler": {"tol": 1e-3}}, "sovler",
                  id="unknown-top-key"),
     pytest.param("verify", {"grid": {"N": 64, "n": 64}}, "grid.n",
@@ -290,9 +305,9 @@ BAD_DOCUMENTS = [
                  id="sweep-values-string-in-unread-section"),
     pytest.param("verify", {"sweep": {"param": ["k"], **_SWEEP}},
                  "sweep.param", id="sweep-param-list-in-unread-section"),
-    pytest.param("geometry", {"sweep": {"start": 0.0, "stop": 1.0,
-                                        "step": 1e-300}},
-                 "sweep.step", id="sweep-step-overflows-in-unread-section"),
+    pytest.param("verify", {"converge": {"grids": [256, 512]}},
+                 "converge.grids",
+                 id="converge-grids-too-few-in-unread-section"),
     pytest.param("spectrum", {"converge": {"grids": [8]}},
                  "converge.grids[0]",
                  id="converge-grids-small-in-unread-section"),
@@ -301,11 +316,6 @@ BAD_DOCUMENTS = [
 
 @pytest.mark.parametrize("command, section, path", [
     *BAD_DOCUMENTS,
-    pytest.param("converge --grids 256,x", {}, "--grids",
-                 id="grids-flag-string"),
-    pytest.param("converge --grids 8,16,32", {}, "--grids",
-                 id="grids-flag-small"),
-    pytest.param("spectrum --grid 8", {}, "--grid", id="grid-flag-small"),
     pytest.param("verify", {"grid": {"N": 65}}, "grid.N", id="verify-odd-N"),
     pytest.param("verify", {"grid": {"N": 18}}, "grid.N",
                  id="verify-half-grid-too-small"),
@@ -316,22 +326,18 @@ BAD_DOCUMENTS = [
                  id="converge-without-grids"),
     pytest.param("spectrum --richardson", {"grid": {"N": 65}}, "grid.N",
                  id="richardson-odd-config-N"),
-    pytest.param("spectrum --grid 129 --richardson", {}, "--grid",
-                 id="richardson-odd-grid-flag"),
 ])
 def test_bad_preset_value_names_path(tmp_path, capsys, command, section,
                                      path):
-    # every bad config value or flag exits 2 with one line of error JSON
-    # naming its config path or flag, never with a traceback
+    # every bad config value exits 2 with one line of error JSON naming
+    # its config path, never with a traceback
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({**_ROUND, **section}))
     code = main([*command.split(), "--config", str(cfg_path)])
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1  # one-line error JSON, no traceback
-    where = (f"option '{path}'" if path.startswith("--")
-             else f"config path '{path}'")
-    assert where in json.loads(out)["error"]
+    assert f"config path '{path}'" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("command, section, path", BAD_DOCUMENTS)
@@ -400,45 +406,3 @@ def test_no_module_imports_a_private_name_of_another():
                if isinstance(node, ast.ImportFrom) and node.level
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
-
-
-def test_sweep_with_start_stop_step(tmp_path, capsys):
-    cfg = {"n": 2, "topology": "sphere_like",
-           "preset": {"type": "bump", "eps": 0.0}, "grid": {"N": 512},
-           "sweep": {"param": "eps", "start": 0.0, "stop": 0.1,
-                     "step": 0.05}}
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    code = main(["sweep", "--config", str(path)])
-    lines = capsys.readouterr().out.rstrip("\n").split("\n")
-    assert code == 0
-    assert [row.split(",")[0] for row in lines[1:]] == ["0.0", "0.05", "0.1"]
-
-
-@pytest.mark.parametrize("step", [1e-300, 1e-6])
-def test_sweep_refuses_too_many_rows(tmp_path, capsys, monkeypatch, step):
-    # 1e-6 over [0, 1] is 1,000,001 rows, one past the bound; both are
-    # refused before any value is built or any row runs
-    monkeypatch.setattr("cohomlab.cli.run_sweep", lambda *a, **k: ())
-    cfg = {"n": 2, "topology": "sphere_like",
-           "preset": {"type": "bump", "eps": 0.0}, "grid": {"N": 64},
-           "sweep": {"start": 0.0, "stop": 1.0, "step": step}}
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    code = main(["sweep", "--config", str(path)])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert "config path 'sweep.step'" in payload["error"]
-
-
-def test_sweep_row_bound_is_inclusive():
-    values = sweep_range({"start": 0.0, "stop": MAX_SWEEP_ROWS - 1.0,
-                          "step": 1.0})
-    assert len(values) == MAX_SWEEP_ROWS
-
-
-def test_sweep_range_stops_at_stop():
-    # no row past stop when step does not divide stop - start
-    values = sweep_range({"start": 0.0, "stop": 0.29, "step": 0.1})
-    assert values == pytest.approx([0.0, 0.1, 0.2])
-    assert values[-1] <= 0.29

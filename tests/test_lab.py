@@ -58,6 +58,31 @@ def test_bound_holds_definition(bump01_n2):
     assert rep.tol_disc >= 1e-8
 
 
+def test_obata_band_is_n_rigid_tolerances():
+    # |mu1 - n kappa2| lies between tol_rigid and n tol_rigid, inside the
+    # Obata band, so this nearly round profile is still detected as round
+    n = 7
+    rep = check_bound(make_preset("Bump", n=n, eps=3e-6), N=2048)
+    defect = abs(rep.obata_mu1 - n * rep.kappa2)
+    assert rep.verdict is Verdict.ROUND_SPHERE_DETECTED
+    assert rep.tol_rigid == 1e-4
+    assert defect == pytest.approx(1.50e-4, rel=0.01)
+    assert rep.gap == pytest.approx(2.16e-5, rel=0.01)
+    assert rep.tol_rigid < defect <= n * rep.tol_rigid
+
+
+def test_rigid_band_is_ten_discretization_tolerances():
+    # on a coarse grid the gap lies between tol_disc and 10 tol_disc,
+    # inside the rigidity band, so the profile is detected as round, not
+    # read as strictly above the bound
+    rep = check_bound(make_preset("Bump", n=2, eps=3e-4), N=64)
+    assert rep.verdict is Verdict.ROUND_SPHERE_DETECTED
+    assert rep.tol_disc == pytest.approx(7.55e-4, rel=0.01)
+    assert rep.tol_rigid == pytest.approx(7.55e-3, rel=0.01)
+    assert rep.gap == pytest.approx(1.66e-3, rel=0.01)
+    assert rep.tol_disc < rep.gap <= rep.tol_rigid
+
+
 def test_check_bound_needs_even_grid(round_n2, monkeypatch):
     # the doubling test needs the half grid, so an odd N, or one whose
     # half is below the smallest grid (18 halves to 9), is refused with

@@ -8,7 +8,6 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 ARGV = {
-    "convergence_report": ["--grids", "64", "128", "256"],
     "round_spectrum_report": ["--dims", "2", "--curvatures", "1.0",
                               "--grid", "256"],
 }
