@@ -261,37 +261,94 @@ def periodic_product_profile(c: float, a: float, n: int,
     )
 
 
+def _cubic_spline(r: np.ndarray, y: np.ndarray, periodic: bool) -> Callable:
+    """(x, nu) -> the nu-th derivative (nu = 0, 1, 2) at x of the C^2
+    cubic spline through (r, y): clamped to the slopes +1 / -1 at the
+    ends, or periodic (y[0] == y[-1]).
+
+    Its second derivatives M at the knots solve
+    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
+    = 6 (slope[i] - slope[i-1]), symmetric, positive definite and
+    tridiagonal (de Boor, A Practical Guide to Splines, ch. IV): one
+    dpttrf / dpttrs.  On a circle the rows wrap around; knot 0 is taken
+    out, the rest factored, and knot 0 closed by its 1x1 Schur
+    complement.  Outside [r[0], r[-1]] a clamped spline extends its end
+    cubics and a periodic one wraps, as scipy's CubicSpline does.
+    """
+    from .spectral import dpttrf, dpttrs  # spectral imports this module
+
+    h = np.diff(r)
+    slope = np.diff(y) / h
+    if periodic:
+        d = 2.0 * (np.roll(h, 1) + h)
+        b = 6.0 * (slope - np.roll(slope, 1))
+        # knot 0's couplings to knots 1 and m - 2, the ends of the rest
+        c = np.zeros(r.size - 2)
+        c[0], c[-1] = h[0], h[-1]
+        d_rest, e_rest, info = dpttrf(d[1:], h[1:-1])
+        x, _ = dpttrs(d_rest, e_rest, np.column_stack((b[1:], c)))
+        m0 = (b[0] - c @ x[:, 0]) / (d[0] - c @ x[:, 1])
+        M = np.concatenate(((m0,), x[:, 0] - m0 * x[:, 1], (m0,)))
+    else:
+        d = 2.0 * np.concatenate((h[:1], h[:-1] + h[1:], h[-1:]))
+        b = 6.0 * np.diff(np.concatenate(((1.0,), slope, (-1.0,))))
+        d, e, info = dpttrf(d, h)
+        M, _ = dpttrs(d, e, b)
+    if info:
+        raise ValueError(f"spline system not positive definite (dpttrf "
+                         f"info {info})")
+    # on cell i, with t = x - r[i]: y[i] + t (c1 + t (c2 + t c3))
+    c1 = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+    c2 = M[:-1] / 2.0
+    c3 = np.diff(M) / (6.0 * h)
+    period = r[-1] - r[0]
+
+    def spline(x, nu):
+        if periodic:
+            x = r[0] + (x - r[0]) % period
+        i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 2)
+        t = x - r[i]
+        if nu == 0:
+            return y[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
+        if nu == 1:
+            return c1[i] + t * (2.0 * c2[i] + t * (3.0 * c3[i]))
+        return 2.0 * c2[i] + t * (6.0 * c3[i])
+
+    return spline
+
+
 def profile_from_samples(r: Sequence[float], phi: Sequence[float], n: int,
                          topology: Topology = Topology.SPHERE_LIKE) -> WarpProfile:
     """Cubic-spline profile through (r, phi) samples.
 
     Sphere-like splines are clamped to the closure slopes +1 / -1 at the
-    ends; periodic splines wrap.  C^2 evaluation is needed because the
-    Ricci formulas read phi''.
+    ends; periodic splines wrap, and their samples must match at the
+    seam to rounding.  C^2 evaluation is needed because the Ricci
+    formulas read phi''.  The spline is scipy's CubicSpline interpolant,
+    solved without importing scipy.interpolate: one symmetric tridiagonal
+    LAPACK solve for its second derivatives (_cubic_spline).
     """
-    from scipy.interpolate import CubicSpline  # costly import, splines only
-
     r = np.asarray(r, float)
     phi = np.asarray(phi, float)
     if r.ndim != 1 or r.shape != phi.shape or r.size < 4:
         raise ValueError("samples need matching 1-d arrays of length >= 4")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(phi))):
+        raise ValueError("samples must be finite")
     if not np.all(np.diff(r) > 0):
         raise ValueError("sample abscissae must be strictly increasing")
-    if topology is Topology.SPHERE_LIKE:
-        spline = CubicSpline(r, phi, bc_type=((1, 1.0), (1, -1.0)))
-    else:
-        if abs(phi[0] - phi[-1]) > SPLINE_CLOSURE_TOL:
-            raise ValueError("periodic samples must match at the seam")
-        spline = CubicSpline(r, phi, bc_type="periodic")
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    periodic = topology is Topology.PERIODIC
+    # the seam test of CubicSpline(bc_type="periodic"), np.allclose with
+    # rtol = atol = 1e-15: the wrapped spline reads y[0] at both ends
+    if periodic and not abs(phi[0] - phi[-1]) <= 1e-15 * (1 + abs(phi[-1])):
+        raise ValueError("periodic samples must match at the seam")
+    spline = _cubic_spline(r, phi, periodic)
     return WarpProfile(
         n=n,
         topology=topology,
         L=float(r[-1] - r[0]),
-        phi=lambda x: spline(np.asarray(x, float) + r[0]),
-        dphi=lambda x: d1(np.asarray(x, float) + r[0]),
-        d2phi=lambda x: d2(np.asarray(x, float) + r[0]),
+        phi=lambda x: spline(np.asarray(x, float) + r[0], 0),
+        dphi=lambda x: spline(np.asarray(x, float) + r[0], 1),
+        d2phi=lambda x: spline(np.asarray(x, float) + r[0], 2),
         preset_tag=f"samples(m={r.size})",
         closure_tol=SPLINE_CLOSURE_TOL,
     )

@@ -375,13 +375,38 @@ def test_sweep_config_checked_like_verify(tmp_path, capsys, drop, topology,
 
 
 def test_import_skips_interpolate_and_integrate(package_env):
-    # scipy.interpolate is loaded only for spline profiles and
-    # scipy.integrate not at all: they dominate cold-start time
+    # cohomlab never imports scipy.interpolate or scipy.integrate, not
+    # even for spline profiles: they dominate cold-start time
     code = ("import sys, cohomlab; print(sorted(m for m in "
             "('scipy.interpolate', 'scipy.integrate') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=package_env).stdout
     assert out.strip() == "[]"
+
+
+def test_spline_verify_imports_no_scipy_subpackage(package_env, tmp_path):
+    # a samples config solves its spline with the LAPACK functions the
+    # lab already loads, so a cold verify imports none of the scipy
+    # packages CubicSpline would pull in
+    r = [math.pi * i / 64 for i in range(65)]
+    phi = [math.sin(x) * (1.0 + 0.05 * math.sin(x) ** 2) for x in r]
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({
+        "n": 2, "topology": "sphere_like",
+        "preset": {"type": "samples", "r": r, "phi": phi},
+        "grid": {"N": 256}}))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cohomlab", "verify",
+         "--config", str(path)], capture_output=True, text=True,
+        env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "StrictlyAboveBound"
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "cohomlab.warp" in imported
+    assert imported & {"scipy.interpolate", "scipy.special",
+                       "scipy.optimize", "scipy.linalg"} == set()
 
 
 def test_python_m_cohomlab_prints_the_golden_verify(package_env):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cohomlab import lab, spectral
 from cohomlab import (OperatorKind, Verdict, assemble, check_bound,
                       convergence_study, grid_for, make_preset, obata_check,
-                      orbit_geometry, rigidity_diagnostics,
+                      orbit_geometry, ricci_profile, rigidity_diagnostics,
                       smallest_eigenpair, solve_smallest, sweep)
 
 
@@ -81,6 +81,22 @@ def test_rigid_band_is_ten_discretization_tolerances():
     assert rep.tol_rigid == pytest.approx(7.55e-3, rel=0.01)
     assert rep.gap == pytest.approx(1.66e-3, rel=0.01)
     assert rep.tol_disc < rep.gap <= rep.tol_rigid
+
+
+def test_negative_kappa2_reads_the_tangential_term():
+    # where the curvature hypothesis fails, the printed kappa2 is the
+    # minimum over both Ricci terms; here the tangential node minimum
+    # lies 1.1e-4 below the radial one, so kappa2 from the radial term
+    # alone would print another number
+    n, N = 3, 256
+    profile = make_preset("Bump", n=n, eps=0.3)
+    ric = ricci_profile(orbit_geometry(profile, grid_for(profile, N)))
+    rep = check_bound(profile, N=N)
+    assert rep.verdict is Verdict.HYPOTHESIS_NOT_MET
+    assert rep.kappa2 == float(np.min(ric.ric_tangential)) / (n - 1)
+    assert rep.kappa2 == pytest.approx(-0.7996680, abs=1e-7)
+    assert float(np.min(ric.ric_radial)) / (n - 1) \
+        == pytest.approx(-0.7995573, abs=1e-7)
 
 
 def test_check_bound_needs_even_grid(round_n2, monkeypatch):

@@ -226,6 +226,78 @@ def test_periodic_samples_must_match_at_the_seam():
         profile_from_samples(r, phi, n=3, topology=Topology.PERIODIC)
 
 
+@pytest.mark.parametrize("mismatch, accepted", [
+    (1e-16, True), (1e-14, False), (1e-9, False)])
+def test_periodic_seam_is_checked_to_rounding(mismatch, accepted):
+    # a periodic spline reads phi[0] at both ends, so the seam may differ
+    # by rounding only, 1e-15 relative and absolute (and 1e-3 above)
+    r, phi = _periodic_samples(mismatch=mismatch)
+    if accepted:
+        p = profile_from_samples(r, phi, n=3, topology=Topology.PERIODIC)
+        assert validate(p).usable
+    else:
+        with pytest.raises(ValueError, match="must match at the seam"):
+            profile_from_samples(r, phi, n=3, topology=Topology.PERIODIC)
+
+
+@pytest.mark.parametrize("which, index, value", [
+    ("r", 5, math.nan), ("r", -1, math.inf), ("phi", 5, math.nan),
+    ("phi", 0, -math.inf)])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_samples_must_be_finite(which, index, value, topology):
+    # a NaN would otherwise reach validate, and an infinite last
+    # abscissa still increases strictly
+    r, phi = _periodic_samples()
+    samples = {"r": r, "phi": phi}
+    samples[which][index] = value
+    with pytest.raises(ValueError, match="samples must be finite"):
+        profile_from_samples(samples["r"], samples["phi"], n=3,
+                             topology=topology)
+
+
+def _spline_samples(topology, uniform, m):
+    rng = np.random.default_rng(m)
+    L = 2 * math.pi if topology is Topology.PERIODIC else math.pi
+    if uniform:
+        r = np.linspace(0.0, L, m)
+    else:
+        r = np.concatenate(([0.0], np.sort(rng.uniform(0.0, L, m - 2)), [L]))
+        r += 0.5  # splines start anywhere; the profile starts at 0
+    x = r - r[0]
+    if topology is Topology.PERIODIC:
+        phi = 1.0 + 0.3 * np.sin(x + 0.4) + 0.1 * np.cos(3 * x)
+        phi[-1] = phi[0]
+    else:
+        s = np.sin(x)
+        phi = s * (1.0 + 0.1 * s * s + 0.01 * rng.standard_normal(m))
+    return r, phi
+
+
+@pytest.mark.parametrize("m", [4, 5, 17, 129, 257])
+@pytest.mark.parametrize("uniform", [True, False],
+                         ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_spline_matches_scipy_cubic_spline(topology, uniform, m):
+    # the lab's own tridiagonal solve gives CubicSpline's interpolant at
+    # the samples, between them and just outside both ends (where a
+    # clamped spline extends its end cubics and a periodic one wraps)
+    from scipy.interpolate import CubicSpline
+    r, phi = _spline_samples(topology, uniform, m)
+    bc = ("periodic" if topology is Topology.PERIODIC
+          else ((1, 1.0), (1, -1.0)))
+    reference = CubicSpline(r, phi, bc_type=bc)
+    p = profile_from_samples(r, phi, n=3, topology=topology)
+    h = np.diff(r)
+    x = np.concatenate((r, r[:-1] + 0.37 * h, r[1:] - 0.81 * h,
+                        [r[0] - 0.01 * h[0], r[0] - 1e-9,
+                         r[-1] + 1e-9, r[-1] + 0.01 * h[-1]]))
+    for nu, (f, tol) in enumerate([(p.phi, 1e-13), (p.dphi, 1e-13),
+                                   (p.d2phi, 1e-10)]):
+        want = reference(x, nu)
+        got = f(x - r[0])
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), nu
+
+
 def test_config_accepts_periodic_samples():
     # the spline wraps, so the profile is usable and its lab verdict is
     # that of 1 + 0.3 sin(r), whose curvature is negative somewhere
