@@ -3,6 +3,14 @@ products: curvature profiles, a flux-form eigensolver, rigidity
 diagnostics and the first-eigenvalue sphere criterion.
 """
 
+from ._openblas import quiet_threads as _quiet_threads
+
+# the first import of numpy maps numpy's OpenBLAS; every submodule below
+# imports numpy, so this is where that happens unless the program
+# imported numpy before cohomlab
+with _quiet_threads():
+    import numpy as _numpy  # noqa: F401
+
 from .fields import (CauchySchwarzReport, InvariantField, InvariantFunction,
                      bochner_bound, bochner_residual, cauchy_schwarz_check,
                      derivative, reconstruct_potential, second_derivative,

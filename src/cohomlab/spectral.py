@@ -29,9 +29,9 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
+from ._openblas import quiet_threads
 from .fields import InvariantField, InvariantFunction
 from .geometry import OrbitGeometry, orbit_geometry
 from .warp import RadialGrid, Topology, WarpProfile, grid_for
@@ -40,20 +40,21 @@ from .warp import RadialGrid, Topology, WarpProfile, grid_for
 def _load_lapack():
     """scipy's f2py LAPACK extension module, whose dpttrf and dpttrs are
     the functions scipy.linalg.lapack exports, loaded by path without
-    scipy.linalg's package import, which is most of a cold start; the
-    public module if the extension file is not there.
+    importing the scipy package or scipy.linalg, whose package imports
+    are most of a cold start; the public module if the extension file
+    is not there.
 
-    Loading the extension loads scipy's OpenBLAS, which starts a worker
-    thread that busy-waits on another core for its thread timeout
-    (about 0.1-0.2 s by default) before it sleeps; dpttrf and dpttrs
-    never wake it.  Unless the user has set OPENBLAS_THREAD_TIMEOUT or
-    GOTO_THREAD_TIMEOUT, the load runs with OpenBLAS's shortest timeout
-    (4), so the worker sleeps at once; the library reads the variable
-    when it is mapped, in module_from_spec, and the environment is
-    restored right after.  For the rest of the process that OpenBLAS
-    copy's idle workers sleep right after each threaded call.
+    Loading the extension maps scipy's own OpenBLAS, whose worker would
+    busy-wait on another core for its thread timeout; dpttrf and dpttrs
+    never wake it.  The library is mapped in module_from_spec, which
+    runs inside quiet_threads (the policy numpy's OpenBLAS is imported
+    with too, in cohomlab/__init__).
     """
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("cohomlab needs scipy, which is not installed",
+                          name="scipy")
+    folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
     paths = [os.path.join(folder, "_flapack" + suffix)
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
@@ -61,15 +62,8 @@ def _load_lapack():
         return importlib.import_module("scipy.linalg.lapack")
     spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
                                                   path)
-    quiet = not {"OPENBLAS_THREAD_TIMEOUT",
-                 "GOTO_THREAD_TIMEOUT"} & os.environ.keys()
-    if quiet:
-        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
-    try:
+    with quiet_threads():
         module = importlib.util.module_from_spec(spec)
-    finally:
-        if quiet:
-            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
     spec.loader.exec_module(module)
     return module
 
@@ -111,7 +105,10 @@ MAX_ITER = 200
 COARSE_N = 4096
 # numpy hands a dot product of more than 10^4 doubles to OpenBLAS's
 # threaded ddot, whose worker threads then spin on the other cores for
-# about 0.1 s after every call; blocks of this size stay single-threaded
+# about 0.1 s after every call; blocks of this size stay single-threaded.
+# When cohomlab is what imports numpy, quiet_threads makes the workers
+# sleep at once, but a program that imported numpy first keeps the
+# default timeout
 DOT_BLOCK = 8192
 
 

@@ -376,9 +376,12 @@ def test_sweep_config_checked_like_verify(tmp_path, capsys, drop, topology,
 
 def test_import_skips_interpolate_and_integrate(package_env):
     # cohomlab never imports scipy.interpolate or scipy.integrate, not
-    # even for spline profiles: they dominate cold-start time
+    # even for spline profiles: they dominate cold-start time.  Nor the
+    # scipy package itself or scipy.linalg: the LAPACK extension is
+    # loaded by path, and is the one scipy module left in sys.modules
     code = ("import sys, cohomlab; print(sorted(m for m in "
-            "('scipy.interpolate', 'scipy.integrate') if m in sys.modules))")
+            "('scipy', 'scipy._lib', 'scipy.linalg', 'scipy.interpolate', "
+            "'scipy.integrate') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=package_env).stdout
     assert out.strip() == "[]"

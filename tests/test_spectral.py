@@ -542,12 +542,16 @@ def test_fine_solve_stays_on_one_core(package_env):
     # a BLAS dot product on more than 10^4 doubles wakes OpenBLAS's
     # thread pool, whose workers then spin on the other cores: the
     # CPU time of a fine solve would be about twice its wall time on
-    # two cores.  So does the startup spin: loading scipy's OpenBLAS
-    # at import starts a worker that busy-waits for its thread timeout
-    # (0.1-0.2 s by default) unless the load shortens it.  A fresh
-    # interpreter keeps other tests' threads out.
+    # two cores.  numpy is imported first, so its OpenBLAS keeps the
+    # default thread timeout (cohomlab would import it with the
+    # shortest, after which the workers sleep at once and the blocks
+    # would not be tested).  The timed runs follow a warm-up run, so
+    # this does not see the spin of the workers each OpenBLAS copy
+    # starts when it is mapped at import; test_lapack_loader checks
+    # that.  A fresh interpreter keeps other tests' threads out.
     code = textwrap.dedent("""
         import time
+        import numpy
         from cohomlab import OperatorKind, make_preset, solve_smallest
         prof = make_preset("Round", n=3, k=1.0)
         def run():
@@ -567,17 +571,25 @@ def test_fine_solve_stays_on_one_core(package_env):
 LOADER_CHECK = """
 import importlib.util, json, os, sys
 {before}
-seen = []
+seen, umath = [], []
 real = importlib.util.module_from_spec
 def spy(spec):
     seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
     return real(spec)
 importlib.util.module_from_spec = spy
+class UmathSpy:
+    # numpy's OpenBLAS is mapped when this extension module is loaded
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy._core._multiarray_umath":
+            umath.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, UmathSpy)
 env = dict(os.environ)
 from cohomlab import spectral
 facts = {{"loaded": [m for m in ("scipy.linalg", "numpy.f2py")
                     if m in sys.modules],
-          "env_kept": dict(os.environ) == env, "seen": seen}}
+          "env_kept": dict(os.environ) == env, "seen": seen,
+          "umath": umath}}
 import numpy as np, scipy.linalg
 facts["same"] = (scipy.linalg.lapack.dpttrf is spectral.dpttrf
                  and scipy.linalg.lapack.dpttrs is spectral.dpttrs)
@@ -587,21 +599,23 @@ print(json.dumps(facts))
 """
 
 
-@pytest.mark.parametrize("before,user,loaded,seen", [
-    # cohomlab first: the extension is loaded by path, with OpenBLAS's
-    # shortest thread timeout in the environment during the load only
-    ("", {}, [], ["4"]),
+@pytest.mark.parametrize("before,user,loaded,seen,umath", [
+    # cohomlab first: numpy and scipy's extension are each loaded with
+    # OpenBLAS's shortest thread timeout in the environment, during the
+    # load only
+    ("", {}, [], ["4"], ["4"]),
     # a timeout the user set is the one OpenBLAS reads
-    ("", {"OPENBLAS_THREAD_TIMEOUT": "8"}, [], ["8"]),
-    ("", {"GOTO_THREAD_TIMEOUT": "8"}, [], [None]),
-    # scipy.linalg first: the same extension module, already loaded
-    ("import scipy.linalg", {}, ["scipy.linalg", "numpy.f2py"], ["4"]),
+    ("", {"OPENBLAS_THREAD_TIMEOUT": "8"}, [], ["8"], ["8"]),
+    ("", {"GOTO_THREAD_TIMEOUT": "8"}, [], [None], [None]),
+    # scipy.linalg, and with it numpy, first: the same extension module,
+    # already loaded
+    ("import scipy.linalg", {}, ["scipy.linalg", "numpy.f2py"], ["4"], []),
     # no extension file: the public import
     ("import importlib.machinery\n"
      "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']", {},
-     ["scipy.linalg", "numpy.f2py"], []),
+     ["scipy.linalg", "numpy.f2py"], [], ["4"]),
 ])
-def test_lapack_loader(package_env, before, user, loaded, seen):
+def test_lapack_loader(package_env, before, user, loaded, seen, umath):
     env = {k: v for k, v in package_env.items()
            if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
     out = subprocess.run(
@@ -609,7 +623,16 @@ def test_lapack_loader(package_env, before, user, loaded, seen):
         capture_output=True, text=True, check=True, env={**env, **user})
     facts = json.loads(out.stdout)
     assert facts == {"loaded": loaded, "env_kept": True, "seen": seen,
-                     "same": True, "eigh": [1.0, 2.0]}
+                     "umath": umath, "same": True, "eigh": [1.0, 2.0]}
+
+
+def test_import_without_scipy_names_it(package_env):
+    code = "import sys; sys.modules['scipy'] = None; import cohomlab"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ImportError: cohomlab needs scipy, which is not installed")
 
 
 def test_start_must_live_on_the_half_grid(round_n2):
