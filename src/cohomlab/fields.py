@@ -47,7 +47,7 @@ class InvariantField:
     def __post_init__(self):
         v = _nodal(self.values, self.grid, "field")
         if self.grid.topology is Topology.SPHERE_LIKE:
-            scale = float(np.max(np.abs(v))) or 1.0
+            scale = float(np.abs(v).max()) or 1.0
             if max(abs(v[0]), abs(v[-1])) > 1e-12 * scale:
                 raise ValueError("invariant fields must vanish at the poles")
             v = v.copy()
@@ -71,7 +71,7 @@ class InvariantFunction:
             # dx^(1/3) scaling stays well above the O(dx) slope of any
             # resolvable even function while rejecting O(1) violations
             dx = self.grid.dx
-            scale = max(1.0, float(np.max(np.abs(v))) * 2.0 * np.pi / self.grid.L)
+            scale = max(1.0, float(np.abs(v).max()) * 2.0 * np.pi / self.grid.L)
             tol = scale * dx ** (1.0 / 3.0)
             one_sided = max(abs(v[1] - v[0]), abs(v[-1] - v[-2])) / dx
             if one_sided > tol:
@@ -104,7 +104,7 @@ def weighted_integral(values_interior: np.ndarray, geom: OrbitGeometry) -> float
     endpoints carry weight zero, so the trapezoid rule reduces to a
     plain weighted sum either way.
     """
-    return float(np.sum(values_interior * geom.w_interior) * geom.grid.dx)
+    return float((values_interior * geom.w_interior).sum() * geom.grid.dx)
 
 
 def radial_calculus(fn: InvariantFunction | InvariantField,
@@ -144,8 +144,8 @@ def cauchy_schwarz_check(h: InvariantFunction,
     """
     _, _, lap, hess2 = radial_calculus(h, geom)
     expr = geom.n * hess2 - lap * lap
-    i = int(np.argmin(expr))
-    scale = max(1.0, float(np.max(np.abs(expr))))
+    i = int(expr.argmin())
+    scale = max(1.0, float(np.abs(expr).max()))
     eq = np.where(np.abs(expr) <= 1e-8 * scale)[0]
     return CauchySchwarzReport(
         min_value=float(expr[i]),
@@ -164,8 +164,8 @@ def reconstruct_potential(field: InvariantField) -> InvariantFunction:
     grid = field.grid
     dx = grid.dx
     if grid.topology is Topology.PERIODIC:
-        total = float(np.sum(f) * dx)
-        scale = float(np.max(np.abs(f))) * grid.L or 1.0
+        total = float(f.sum() * dx)
+        scale = float(np.abs(f).max()) * grid.L or 1.0
         if abs(total) > 1e-10 * scale:
             raise ValueError(
                 f"non-exact field: integral over the period is {total:.3g}")

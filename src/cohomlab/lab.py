@@ -121,7 +121,7 @@ def rigidity_diagnostics(minimizer: InvariantField,
     # the minimizer is the gradient profile f = h' of its potential h
     f, fp, lap, hess2 = radial_calculus(minimizer, geom)
 
-    umb = float(np.max(f * f * np.abs(geom.H ** 2 - geom.B2 / (n - 1))))
+    umb = float((f * f * np.abs(geom.H ** 2 - geom.B2 / (n - 1))).max())
     rad = math.sqrt(weighted_integral((fp + geom.H * f) ** 2, geom))
 
     i2 = weighted_integral(lap * lap, geom)

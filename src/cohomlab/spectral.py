@@ -110,6 +110,8 @@ COARSE_N = 4096
 # sleep at once, but a program that imported numpy first keeps the
 # default timeout
 DOT_BLOCK = 8192
+# machine epsilon, the unit of the stop rule's rounding floor
+EPS = float(np.finfo(float).eps)
 
 
 class OperatorKind(Enum):
@@ -127,9 +129,10 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b for 1-D arrays, summed over blocks of DOT_BLOCK entries so
     that no single BLAS call crosses OpenBLAS's threading cut-off (short
     vectors are one call, exactly float(a @ b))."""
+    # a.dot(b): a @ b's BLAS ddot and bits at about half its call cost
     if a.size <= DOT_BLOCK:
-        return float(a @ b)
-    return sum(float(a[i:i + DOT_BLOCK] @ b[i:i + DOT_BLOCK])
+        return float(a.dot(b))
+    return sum(float(a[i:i + DOT_BLOCK].dot(b[i:i + DOT_BLOCK]))
                for i in range(0, a.size, DOT_BLOCK))
 
 
@@ -170,13 +173,15 @@ class DiscreteOperator:
         np.add(c[:-1], c[1:], out=s[1:])
         return s
 
-    def norm_bound(self) -> float:
+    def norm_bound(self, node: Optional[np.ndarray] = None) -> float:
         """Largest row sum of |K|, 2 (c_left + c_right) + potential,
-        an upper bound on ||K||_2 that is tight for these stencils."""
-        row = 2.0 * self._node_cond()
+        an upper bound on ||K||_2 that is tight for these stencils;
+        node is _node_cond() if the caller has it, and is left as it is.
+        """
+        row = 2.0 * (self._node_cond() if node is None else node)
         if self.potential is not None:
             row += self.potential
-        return float(np.max(row))
+        return float(row.max())
 
     def _diffs(self, x: np.ndarray) -> np.ndarray:
         """Differences of x across the N cells (x at the retained nodes;
@@ -251,7 +256,7 @@ def assemble(kind: OperatorKind, geom: OrbitGeometry) -> DiscreteOperator:
         # Neumann: no flux through the poles, the two boundary cells conduct 0
         cond[0] = cond[-1] = 0.0
     weight = w * dx
-    if not np.all(weight > 0):
+    if not (weight > 0).all():
         raise ValueError("mass entries must be positive at retained nodes")
     return DiscreteOperator(kind=kind, cond=cond, potential=potential,
                             weight=weight, grid=grid)
@@ -301,10 +306,12 @@ def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None):
+def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
+            node: Optional[np.ndarray] = None):
     """Solver for K - sigma W from one tridiagonal L D L^T factor
     (dpttrf), which certifies that no eigenvalue lies below sigma, or
-    with a pin exactly one (LinAlgError if not).
+    with a pin exactly one (LinAlgError if not).  node, if given, is
+    op._node_cond(), which the factor then overwrites.
 
     A sphere-like grid without a pin factors K - sigma W itself.
     Otherwise one retained node p is taken out: the pin, or node 0 on a
@@ -329,7 +336,7 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None):
     # terms to -sigma W one at a time rounds differently and moves
     # printed last digits.  d and e are fresh arrays: the factor
     # overwrites them, and a view of cond would corrupt the operator
-    d = op._node_cond()
+    d = op._node_cond() if node is None else node
     if op.potential is not None:
         d += op.potential
     d += op.weight * -sigma
@@ -375,14 +382,16 @@ def _sign_change(y: np.ndarray) -> int:
     """Of the two nodes around y's first sign change, the one where |y|
     is smaller."""
     neg = np.signbit(y)
-    i = int(np.argmax(neg[1:] != neg[:-1]))
+    i = int((neg[1:] != neg[:-1]).argmax())
     return i if abs(y[i]) <= abs(y[i + 1]) else i + 1
 
 
-def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray) -> tuple:
+def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray,
+                node: Optional[np.ndarray] = None) -> tuple:
     """(sigma, solver) for the near shift sigma = lam (1 - DELTA) from
     the quotient lam of the iterate y, kept only where the factor that
-    does the solves certifies it (LinAlgError otherwise).
+    does the solves certifies it (LinAlgError otherwise); node as for
+    _factor.
 
     Vector kind: _factor finds no eigenvalue below sigma, so sigma lies
     below lambda_min.  Sphere-like scalar kind: pinned at y's sign
@@ -392,11 +401,11 @@ def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray) -> tuple:
     """
     sigma = lam * (1.0 - DELTA)
     if op.kind is OperatorKind.ROUGH_VECTOR:
-        return sigma, _factor(op, sigma)
+        return sigma, _factor(op, sigma, node=node)
     if op._periodic:
         raise LinAlgError("no near-shift certificate for a periodic "
                           "scalar operator")
-    return sigma, _factor(op, sigma, _sign_change(y))
+    return sigma, _factor(op, sigma, _sign_change(y), node)
 
 
 def _parity(kind: OperatorKind) -> str:
@@ -429,7 +438,7 @@ def _fix_sign(x: np.ndarray) -> None:
     """Flip x in place so that its first non-negligible entry is > 0."""
     a = np.abs(x)
     # argmax finds the first True; an all-zero x gives index 0, not flipped
-    if x[np.argmax(a > 1e-12 * a.max())] < 0:
+    if x[(a > 1e-12 * a.max()).argmax()] < 0:
         np.negative(x, out=x)
 
 
@@ -454,15 +463,12 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     every iterate (to step past the kernel of the scalar problem).
     """
     W = op.weight
-    scale_K, scale_W = op.norm_bound(), float(np.max(W))
-    # rounding scale of a computed eigenvalue: near lambda = 0 a change
-    # relative to |lambda| alone never passes (a flat product's constants
-    # carried up by the cubic prolong give lambda ~ 1e-21, not 0)
-    lam_floor = np.finfo(float).eps * scale_K / scale_W
-    mass = float(np.sum(W))
+    scale_W = float(W.max())
+    scalar = op.kind is OperatorKind.SCALAR_LAPLACIAN
+    mass = float(W.sum()) if scalar else None
 
     def project(v):
-        if op.kind is OperatorKind.SCALAR_LAPLACIAN:
+        if scalar:
             v -= dot(W, v) / mass
         return v
 
@@ -480,16 +486,30 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     y /= math.sqrt(norm)
     Wy /= math.sqrt(norm)
     lam = op.quadform(y)
+    # one node-conductance sum gives ||K|| and the first factor's
+    # diagonal, which that factor overwrites
+    node = op._node_cond()
+    scale_K = op.norm_bound(node)
+    # rounding scale of a computed eigenvalue: near lambda = 0 a change
+    # relative to |lambda| alone never passes (a flat product's constants
+    # carried up by the cubic prolong give lambda ~ 1e-21, not 0)
+    lam_floor = EPS * scale_K / scale_W
     if lam == 0.0:
         # every flux and potential term vanishes: the seed spans the
         # kernel (constants on a flat product) and needs no step
         return lam, y, 0, backward_error(op.matvec(y), lam, y), None
 
-    retry = False
+    # a refused factor's arrays are gone before another factor is made,
+    # outside the except clause, whose traceback would keep them: no
+    # solve ever holds two factors
+    solve = None
     try:
-        sigma, solve = _near_shift(op, lam, y)
+        sigma, solve = _near_shift(op, lam, y, node)
     except LinAlgError:
-        retry = True
+        pass
+    del node
+    retry = solve is None
+    if retry:
         sigma = -SHIFT * max(1.0, abs(lam))
         solve = _factor(op, sigma)
     change = math.inf
@@ -513,11 +533,15 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
             return lam, y, it, backward_error(op.matvec(y) - lam * Wy,
                                               lam, y), sigma
         if retry and change <= RETRY * abs(lam):
-            retry = False
+            # the far shift's factor goes first, and is made again if the
+            # near shift is refused
+            retry, solve = False, None
             try:
                 sigma, solve = _near_shift(op, lam, y)
             except LinAlgError:
                 pass
+            if solve is None:
+                solve = _factor(op, sigma)
     eta = backward_error(op.matvec(y) - lam * Wy, lam, y)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "

@@ -332,9 +332,9 @@ def profile_from_samples(r: Sequence[float], phi: Sequence[float], n: int,
     phi = np.asarray(phi, float)
     if r.ndim != 1 or r.shape != phi.shape or r.size < 4:
         raise ValueError("samples need matching 1-d arrays of length >= 4")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(phi))):
+    if not (np.isfinite(r).all() and np.isfinite(phi).all()):
         raise ValueError("samples must be finite")
-    if not np.all(np.diff(r) > 0):
+    if not (np.diff(r) > 0).all():
         raise ValueError("sample abscissae must be strictly increasing")
     periodic = topology is Topology.PERIODIC
     # the seam test of CubicSpline(bc_type="periodic"), np.allclose with
@@ -404,51 +404,66 @@ def make_preset(kind: str, n: int, **params) -> WarpProfile:
     return preset.builder(n=n, **{**preset.defaults, **params})
 
 
-def _fd1(fn, r, h):
-    return (fn(r + h) - fn(r - h)) / (2.0 * h)
-
-
 def validate(profile: WarpProfile) -> ValidationReport:
     """Run positivity, closure and derivative-consistency checks.
 
     Report-valued: failures never raise here.  Downstream operations
-    refuse profiles whose report is not usable.
+    refuse profiles whose report is not usable.  phi, phi' and phi''
+    are evaluated once each, on one array of every point checked.
     """
     L, tol = profile.L, profile.closure_tol
-    checks = []
-
     samples = 512  # interior points at which phi > 0 is checked
     rs = (np.arange(1, samples) / samples) * L
-    vals = np.asarray(profile.phi(rs), float)
-    bad = np.where(~(vals > 0))[0]
-    # the first non-positive sample, else the smallest value
-    low = float(vals[bad[0]]) if bad.size else float(vals.min())
-    checks.append(CheckResult("positivity", not bad.size, low))
+    probe = (np.arange(1, 32) / 32.0) * L  # derivative probes
+    h = 1e-5 * L
+    # every point checked, in one array ordered so that each function
+    # is evaluated once, on the one slice it is checked on: phi from the
+    # samples to both ends, phi' from probe - h on, phi'' on both ends
+    # and the probes
+    x = np.concatenate((rs, probe - h, probe + h, (0.0, L), probe))
+    m, k = rs.size, probe.size
+    phi = np.asarray(profile.phi(x[:-k]), float)
+    dphi = np.asarray(profile.dphi(x[m:]), float)
+    d2phi = np.asarray(profile.d2phi(x[-k - 2:]), float)
+    checks = []
 
+    # the smallest sample, or if that is not > 0 (a NaN is not) the
+    # first sample that is not
+    vals = phi[:m]
+    low = float(vals.min())
+    positive = low > 0
+    if not positive:
+        low = float(vals[np.flatnonzero(~(vals > 0))[0]])
+    checks.append(CheckResult("positivity", positive, low))
+
+    # values at r = 0 and r = L
+    phi0, phiL = phi[-2:].tolist()
+    dphi0, dphiL = dphi[2 * k:2 * k + 2].tolist()
+    d2phi0, d2phiL = d2phi[:2].tolist()
     if profile.topology is Topology.SPHERE_LIKE:
         res = {
-            "closure phi(0)=0": abs(float(profile.phi(0.0))),
-            "closure phi(L)=0": abs(float(profile.phi(L))),
-            "closure phi'(0)=1": abs(float(profile.dphi(0.0)) - 1.0),
-            "closure phi'(L)=-1": abs(float(profile.dphi(L)) + 1.0),
+            "closure phi(0)=0": abs(phi0),
+            "closure phi(L)=0": abs(phiL),
+            "closure phi'(0)=1": abs(dphi0 - 1.0),
+            "closure phi'(L)=-1": abs(dphiL + 1.0),
         }
     else:
         res = {
-            "periodic phi": abs(float(profile.phi(0.0)) - float(profile.phi(L))),
-            "periodic phi'": abs(float(profile.dphi(0.0)) - float(profile.dphi(L))),
-            "periodic phi''": abs(float(profile.d2phi(0.0)) - float(profile.d2phi(L))),
+            "periodic phi": abs(phi0 - phiL),
+            "periodic phi'": abs(dphi0 - dphiL),
+            "periodic phi''": abs(d2phi0 - d2phiL),
         }
     for name, r in res.items():
         checks.append(CheckResult(name, r <= tol, r))
 
-    # supplied derivatives must agree with finite differences of phi itself
-    probe = (np.arange(1, 32) / 32.0) * L
-    h = 1e-5 * L
-    e1 = float(np.max(np.abs(_fd1(profile.phi, probe, h)
-                             - profile.dphi(probe))))
-    e2 = float(np.max(np.abs(_fd1(profile.dphi, probe, h)
-                             - profile.d2phi(probe))))
-    scale = max(1.0, float(np.max(np.abs(profile.dphi(probe)))))
+    # supplied derivatives must agree with centred differences of phi
+    # itself, (f(probe + h) - f(probe - h)) / 2h
+    dphi_at = dphi[-k:]
+    e1 = float(np.abs((phi[m + k:m + 2 * k] - phi[m:m + k]) / (2.0 * h)
+                      - dphi_at).max())
+    e2 = float(np.abs((dphi[k:2 * k] - dphi[:k]) / (2.0 * h)
+                      - d2phi[2:]).max())
+    scale = max(1.0, float(np.abs(dphi_at).max()))
     checks.append(CheckResult("phi' consistent with phi", e1 <= 1e-6 * scale, e1))
     checks.append(CheckResult("phi'' consistent with phi'", e2 <= 1e-4 * scale, e2))
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import (Topology, WarpProfile, check_bound, grid_for,
-                      make_preset, orbit_geometry, periodic_product_profile,
-                      profile_from_samples, ricci_profile, round_profile)
+from cohomlab import geometry
+from cohomlab import (RadialGrid, Topology, WarpProfile, check_bound,
+                      grid_for, make_preset, orbit_geometry,
+                      periodic_product_profile, profile_from_samples,
+                      ricci_profile, round_profile)
 
 
 def _setup(profile, N=512):
@@ -262,3 +264,64 @@ def test_orbit_geometry_matches_reference_formulas(name, n, N):
            "phi": phi, "dphi": dphi}
     for attr in GEOMETRY_ARRAYS:
         assert np.array_equal(getattr(geom, attr), ref[attr]), attr
+
+
+def _require_reference(profile, grid, positive=False, **arrays):
+    """geometry._require as written with a full scan of every array:
+    the reference for the names and values its one-reduction form gives
+    in its error messages."""
+    first = 0 if grid.topology is Topology.PERIODIC else 1
+    for name, values in arrays.items():
+        bad = np.flatnonzero(values <= 0 if positive else ~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            at = (f"the midpoint after node {i}" if name.endswith("_mid")
+                  else f"node {i if name == 'w' else i + first}")
+            what = (f"= {values[i]:.3g} is not positive" if positive
+                    else "is not finite")
+            raise ValueError(f"{name.removesuffix('_mid')} {what} at {at} "
+                             f"(profile {profile.preset_tag})")
+
+
+def _refusal(require, *args, **arrays):
+    try:
+        require(*args, **arrays)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# (positive, array names) of each _require call in orbit_geometry and
+# ricci_profile
+_REQUIRE_CALLS = [(True, ("phi", "phi_mid")),
+                  (False, ("H", "B2", "w", "w_mid")),
+                  (False, ("ric_radial", "ric_tangential"))]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_require_names_the_first_bad_entry_as_the_full_scan_does(topology,
+                                                                 value):
+    p = round_profile(k=1.0, n=2)  # only its tag is read
+    grid = RadialGrid(N=64, L=math.pi, topology=topology)
+
+    def good(name):
+        size = (grid.nodes.size if name == "w" else grid.N
+                if name.endswith("_mid") else grid.interior.size)
+        return np.linspace(0.5, 2.0, size)
+
+    refused = 0
+    for positive, names in _REQUIRE_CALLS:
+        for name in names:
+            last = good(name).size - 1
+            for at in (0, last // 2, last):
+                arrays = {k: good(k) for k in names}
+                arrays[name][at] = value
+                if at < last:
+                    # a later bad entry, named only where value passes
+                    arrays[name][last] = -2.0 if positive else math.nan
+                got = _refusal(geometry._require, p, grid, positive, **arrays)
+                assert got == _refusal(_require_reference, p, grid,
+                                       positive, **arrays)
+                refused += got is not None
+    assert refused

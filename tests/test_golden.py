@@ -2,7 +2,9 @@
 (both kinds) and of `geometry` on the committed configs, of `sweep` on
 bump02_n2 and of `converge` (both kinds) on periodic_n3, compared byte
 for byte with the files in tests/golden/, and the sha256 of the
-`geometry --csv` file, compared with its .sha256 file there.
+`geometry --csv` profile file and of the `spectrum --richardson --csv`
+eigenfunction file (both kinds), each compared with its .sha256 file
+there.
 
 A change that moves any printed digit regenerates the files, from the
 repository root, with
@@ -58,15 +60,20 @@ def _golden(config, command):
     return ROOT / "tests" / "golden" / f"{config}.{command}.{suffix}"
 
 
-def _csv_sha256(config, directory):
-    """(exit code, sha256 hex digest + newline) of `geometry --csv`."""
-    path = Path(directory) / "geometry.csv"
-    code, _ = _stdout(config, "geometry", "--csv", str(path))
+CSV_CASES = [(config, command) for config in CONFIGS
+             for command in ("geometry", "spectrum-vector",
+                             "spectrum-scalar")]
+
+
+def _csv_sha256(config, command, directory):
+    """(exit code, sha256 hex digest + newline) of the command's --csv."""
+    path = Path(directory) / f"{config}.{command}.csv"
+    code, _ = _stdout(config, command, "--csv", str(path))
     return code, hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
 
 
-def _golden_sha256(config):
-    return ROOT / "tests" / "golden" / f"{config}.geometry.csv.sha256"
+def _golden_sha256(config, command):
+    return ROOT / "tests" / "golden" / f"{config}.{command}.csv.sha256"
 
 
 @pytest.mark.parametrize("config,command", CASES)
@@ -76,11 +83,12 @@ def test_cli_stdout_matches_golden(config, command):
     assert out == _golden(config, command).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_geometry_csv_matches_golden_sha256(config, tmp_path):
-    code, digest = _csv_sha256(config, tmp_path)
+@pytest.mark.parametrize("config,command", CSV_CASES)
+def test_csv_matches_golden_sha256(config, command, tmp_path):
+    code, digest = _csv_sha256(config, command, tmp_path)
     assert code == 0
-    assert digest == _golden_sha256(config).read_text(encoding="utf-8")
+    assert digest == _golden_sha256(config, command).read_text(
+        encoding="utf-8")
 
 
 def test_verify_matches_golden_after_scipy_linalg(package_env):
@@ -114,6 +122,6 @@ if __name__ == "__main__":
         _golden(config, command).write_text(_stdout(config, command)[1],
                                             encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        for config in CONFIGS:
-            _golden_sha256(config).write_text(_csv_sha256(config, tmp)[1],
-                                              encoding="utf-8")
+        for config, command in CSV_CASES:
+            _golden_sha256(config, command).write_text(
+                _csv_sha256(config, command, tmp)[1], encoding="utf-8")

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,41 @@ def _cold(kind, geom, start=None):
     if kind is OperatorKind.ROUGH_VECTOR:
         return smallest_eigenpair(op, start=start)
     return first_nonzero_scalar_eigenvalue(op, start=start)
+
+
+def _peak(fn, N):
+    """tracemalloc's peak while fn() runs, in units of N doubles."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * N)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["bump", "periodic"])
+def test_solve_and_check_bound_memory(name):
+    # what one solve allocates on top of its assembled operator: the
+    # iterate, W y, W x, the factor's d and e (and a pinned factor's g),
+    # a solve's output and a quotient's two temporaries.  A refused near
+    # shift's arrays must be gone before the far shift factors, and the
+    # far shift's before a re-try factors (with both alive the periodic
+    # vector seed peaks above 9 N doubles); no operator or solve may
+    # keep another N-sized array.  check_bound's bound is its measured
+    # peak, 17.54 N doubles, rounded up.  The lower bound shows that
+    # tracemalloc sees numpy's buffers
+    N = 2 ** 15
+    spec = dict(_FINE_PROFILES[name])
+    prof = make_preset(spec.pop("family"), **spec)
+    geom = orbit_geometry(prof, grid_for(prof, N))
+    for kind in OperatorKind:
+        half = _cold(kind, geom.restrict()).eigenfunction
+        op = assemble(kind, geom)
+        for start in (None, half):
+            assert 6.0 < _peak(
+                lambda: spectral._eigenpair(op, kind, 200, start), N) <= 9.0
+    del geom, op, half
+    assert _peak(lambda: cohomlab.check_bound(prof, N), N) <= 18.0
 
 
 @pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])

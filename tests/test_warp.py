@@ -331,3 +331,120 @@ def test_validation_is_cached(monkeypatch):
     del p
     gc.collect()
     assert ref() is None
+
+
+def _fd1(fn, r, h):
+    return (fn(r + h) - fn(r - h)) / (2.0 * h)
+
+
+def _validate_reference(profile):
+    """validate as written with one profile call per check (12 on a
+    sphere-like profile, 14 on a periodic one): the reference whose
+    report validate's single evaluation of phi, phi' and phi'' must
+    reproduce, residual for residual."""
+    L, tol = profile.L, profile.closure_tol
+    checks = []
+
+    samples = 512
+    rs = (np.arange(1, samples) / samples) * L
+    vals = np.asarray(profile.phi(rs), float)
+    bad = np.where(~(vals > 0))[0]
+    low = float(vals[bad[0]]) if bad.size else float(vals.min())
+    checks.append(warp.CheckResult("positivity", not bad.size, low))
+
+    if profile.topology is Topology.SPHERE_LIKE:
+        res = {
+            "closure phi(0)=0": abs(float(profile.phi(0.0))),
+            "closure phi(L)=0": abs(float(profile.phi(L))),
+            "closure phi'(0)=1": abs(float(profile.dphi(0.0)) - 1.0),
+            "closure phi'(L)=-1": abs(float(profile.dphi(L)) + 1.0),
+        }
+    else:
+        res = {
+            "periodic phi": abs(float(profile.phi(0.0))
+                                - float(profile.phi(L))),
+            "periodic phi'": abs(float(profile.dphi(0.0))
+                                 - float(profile.dphi(L))),
+            "periodic phi''": abs(float(profile.d2phi(0.0))
+                                  - float(profile.d2phi(L))),
+        }
+    for name, r in res.items():
+        checks.append(warp.CheckResult(name, r <= tol, r))
+
+    probe = (np.arange(1, 32) / 32.0) * L
+    h = 1e-5 * L
+    e1 = float(np.max(np.abs(_fd1(profile.phi, probe, h)
+                             - profile.dphi(probe))))
+    e2 = float(np.max(np.abs(_fd1(profile.dphi, probe, h)
+                             - profile.d2phi(probe))))
+    scale = max(1.0, float(np.max(np.abs(profile.dphi(probe)))))
+    checks.append(warp.CheckResult("phi' consistent with phi",
+                                   e1 <= 1e-6 * scale, e1))
+    checks.append(warp.CheckResult("phi'' consistent with phi'",
+                                   e2 <= 1e-4 * scale, e2))
+    return warp.ValidationReport(checks=tuple(checks))
+
+
+def _dip(r0, s=0.0005 * math.pi, slope=1.0):
+    """slope * sin r minus a Gaussian dip of depth 1.2 and width s at
+    r0, on [0, pi]."""
+
+    def dip(r):
+        u = (np.asarray(r, float) - r0) / s
+        return u, 1.2 * np.exp(-u * u)
+
+    return warp.WarpProfile(
+        n=3, topology=Topology.SPHERE_LIKE, L=math.pi,
+        phi=lambda r: slope * np.sin(r) - dip(r)[1],
+        dphi=lambda r: slope * np.cos(r) + 2 * dip(r)[0] / s * dip(r)[1],
+        d2phi=lambda r: -slope * np.sin(r)
+        - (4 * dip(r)[0] ** 2 - 2) / (s * s) * dip(r)[1],
+        preset_tag="dip")
+
+
+_REFERENCE_PROFILES = {
+    "round": lambda: round_profile(k=1.0, n=2),
+    "round_k2.5": lambda: round_profile(k=2.5, n=3),
+    "bump": lambda: bump_profile(eps=0.1, n=3),
+    "bump_negative": lambda: bump_profile(eps=-0.4, n=2),
+    "periodic_product": lambda: periodic_product_profile(c=1.0, a=0.3, n=3),
+    "periodic_product_L3": lambda: periodic_product_profile(
+        c=2.0, a=0.5, n=4, L=3.0),
+    "samples": lambda: profile_from_samples(
+        np.linspace(0, math.pi, 129),
+        np.sin(np.linspace(0, math.pi, 129)) * 1.05, n=3),
+    "periodic_samples": lambda: profile_from_samples(
+        *_periodic_samples(), n=3, topology=Topology.PERIODIC),
+    # phi < 0 between positivity samples 100 and 101: every check passes
+    "dip_between_samples": lambda: _dip(101.5 / 512 * math.pi),
+    # a dip at the first probe + h, narrow enough to miss the probe
+    # and every sample: only the derivative checks see it
+    "dip_at_a_probe": lambda: _dip(math.pi / 32 * (1 + 32e-5), s=5e-6),
+    # positivity fails
+    "negative_samples": lambda: profile_from_samples(
+        np.linspace(0, math.pi, 129),
+        [math.sin(r) - 0.4 * math.sin(r) ** 3 - 0.62 * math.sin(2 * r) ** 2
+         for r in np.linspace(0, math.pi, 129)], n=2),
+    # closure fails: phi'(0) = 1.1 (the dip lies outside [0, pi])
+    "wrong_slope": lambda: _dip(10.0, slope=1.1),
+    # positivity fails at a NaN sample past a positive minimum
+    "nan_sample": lambda: dataclasses.replace(
+        round_profile(k=1.0, n=3),
+        phi=lambda r: np.where(r == 300 / 512 * math.pi, np.nan, np.sin(r))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_PROFILES))
+def test_validate_matches_the_per_check_reference(name):
+    p = _REFERENCE_PROFILES[name]()
+    calls = []
+
+    def counted(f):
+        return lambda r: calls.append(f) or f(r)
+
+    q = dataclasses.replace(p, phi=counted(p.phi), dphi=counted(p.dphi),
+                            d2phi=counted(p.d2phi))
+    # repr: a NaN residual would make == fail on equal reports
+    assert repr(validate(q)) == repr(_validate_reference(p))
+    assert sorted(map(id, calls)) == sorted(map(id, (p.phi, p.dphi,
+                                                     p.d2phi)))
