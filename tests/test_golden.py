@@ -29,7 +29,8 @@ import pytest
 from cohomlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-CONFIGS = ("round_n2", "bump02_n2", "periodic_n3")
+CONFIGS = ("round_n2", "bump02_n2", "periodic_n3", "bump_n3_fine",
+           "periodic_n3_fine")
 COMMANDS = {
     "verify": ["verify"],
     "spectrum-vector": ["spectrum", "--richardson"],
