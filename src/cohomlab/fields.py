@@ -39,6 +39,10 @@ class InvariantField:
 
     values covers every node (sphere-like: 0..N with the pole entries
     stored, and equal to zero; periodic: 0..N-1 with implicit wrap).
+    A sphere-like field whose pole entries are exactly 0.0, as every
+    computed eigenfunction's are, shares its float array as a periodic
+    field does; other pole entries within rounding of zero are set to
+    0.0 in a copy, and larger ones refused.
     """
 
     values: np.ndarray
@@ -46,7 +50,8 @@ class InvariantField:
 
     def __post_init__(self):
         v = _nodal(self.values, self.grid, "field")
-        if self.grid.topology is Topology.SPHERE_LIKE:
+        if (self.grid.topology is Topology.SPHERE_LIKE
+                and not v[0] == v[-1] == 0.0):
             scale = float(np.abs(v).max()) or 1.0
             if max(abs(v[0]), abs(v[-1])) > 1e-12 * scale:
                 raise ValueError("invariant fields must vanish at the poles")

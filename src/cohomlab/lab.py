@@ -141,17 +141,20 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     """
     ensure_usable(profile)
     geom = orbit_geometry(profile, grid_for(profile, RadialGrid.halvable(N)))
-    # keep the results, not the N operator's three N-sized arrays
+    # keep the results, not the N operator's three N-sized arrays, and
+    # of the minimizer only lambda_min once its residuals are taken
     lams, fine = nested_solve(OperatorKind.ROUGH_VECTOR, geom, 2)[:2]
+    rigid = rigidity_diagnostics(fine.eigenfunction, geom)
+    lam_min = fine.lam
+    del fine
     tol_disc = max(DISC_FLOOR, abs(lams[1] - lams[0]))
     tol_rigid = max(RIGID_FLOOR, 10.0 * tol_disc)
 
     # keep the scalar, not the profile's two N-sized Ricci arrays
     kappa2 = ricci_profile(geom).kappa2
     mu1 = nested_solve(OperatorKind.SCALAR_LAPLACIAN, geom)[1].lam
-    rigid = rigidity_diagnostics(fine.eigenfunction, geom)
 
-    gap = fine.lam - kappa2
+    gap = lam_min - kappa2
     bound_holds = gap >= -tol_disc
 
     n = profile.n
@@ -166,7 +169,7 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     else:
         verdict = Verdict.INCONCLUSIVE
 
-    return TheoremReport(kappa2=kappa2, lambda_min=fine.lam, gap=gap,
+    return TheoremReport(kappa2=kappa2, lambda_min=lam_min, gap=gap,
                          bound_holds=bound_holds, rigidity=rigid,
                          obata_mu1=mu1, verdict=verdict, tol_disc=tol_disc,
                          tol_rigid=tol_rigid, grid_N=geom.grid.N, n=n,

@@ -136,6 +136,46 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
                for i in range(0, a.size, DOT_BLOCK))
 
 
+def _blocks(size: int) -> list:
+    """The slices of range(size), DOT_BLOCK entries each, that dot sums."""
+    return [slice(i, min(i + DOT_BLOCK, size))
+            for i in range(0, size, DOT_BLOCK)]
+
+
+def _blocked_dot(size: int, pair) -> float:
+    """dot(a, b) of two arrays of size > DOT_BLOCK entries that pair(s)
+    forms one block s of _blocks(size) at a time: dot's ddots, added in
+    dot's order, bit for bit, with no temporary longer than a block."""
+    # no name holds a block's pair while the next one is formed
+    return sum(float(np.dot(*pair(s))) for s in _blocks(size))
+
+
+def _combined_norm2(v: np.ndarray, c: float, W: np.ndarray, y: np.ndarray,
+                    Wy: Optional[np.ndarray] = None) -> float:
+    """||v + c W y||^2, summed as dot sums it, and v's entries are spent:
+    in place over v from Wy = W y if the caller has it, else without an
+    N-sized temporary."""
+    if Wy is not None:
+        v += c * Wy
+        return dot(v, v)
+
+    def block(s):
+        r = W[s] * y[s]
+        r *= c
+        r += v[s]
+        return r, r
+    return _blocked_dot(y.size, block)
+
+
+def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
+    """y += a x in place, a block at a time."""
+    if y.size <= DOT_BLOCK:
+        y += a * x
+        return
+    for s in _blocks(y.size):
+        y[s] += a * x[s]
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Generalized symmetric eigenproblem K f = lambda W f in flux form.
@@ -178,10 +218,19 @@ class DiscreteOperator:
         an upper bound on ||K||_2 that is tight for these stencils;
         node is _node_cond() if the caller has it, and is left as it is.
         """
-        row = 2.0 * (self._node_cond() if node is None else node)
-        if self.potential is not None:
-            row += self.potential
-        return float(row.max())
+        node = self._node_cond() if node is None else node
+        if node.size <= DOT_BLOCK:
+            row = 2.0 * node
+            if self.potential is not None:
+                row += self.potential
+            return float(row.max())
+        top = -math.inf
+        for s in _blocks(node.size):
+            row = 2.0 * node[s]
+            if self.potential is not None:
+                row += self.potential[s]
+            top = max(top, float(row.max()))
+        return top
 
     def _diffs(self, x: np.ndarray) -> np.ndarray:
         """Differences of x across the N cells (x at the retained nodes;
@@ -197,6 +246,28 @@ class DiscreteOperator:
         d[-1] = -x[-1]
         return d
 
+    def _cell_diffs(self, x: np.ndarray, a: int, b: int) -> np.ndarray:
+        """_diffs(x)[a:b], computed alone: sphere-like cell j joins nodes
+        j - 1 and j, periodic cell j nodes j and j + 1, and there cell -1
+        is cell N - 1."""
+        m = x.size
+        d = np.empty(b - a)
+        if self._periodic:
+            lo, hi = max(a, 0), min(b, m - 1)
+            np.subtract(x[lo + 1:hi + 1], x[lo:hi], out=d[lo - a:hi - a])
+            if a < 0:
+                d[0] = x[0] - x[-1]
+            if b == m:
+                d[-1] = x[0] - x[-1]
+            return d
+        lo, hi = max(a, 1), min(b, m)
+        np.subtract(x[lo:hi], x[lo - 1:hi - 1], out=d[lo - a:hi - a])
+        if a == 0:
+            d[0] = x[0]
+        if b == m + 1:
+            d[-1] = -x[-1]
+        return d
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         flux = self.cond * self._diffs(x)
         if self._periodic:
@@ -209,15 +280,59 @@ class DiscreteOperator:
             y += self.potential * x
         return y
 
+    def _block_matvec(self, x: np.ndarray, s: slice) -> np.ndarray:
+        """matvec(x)[s], computed alone: the fluxes of the cells on
+        either side of nodes s, and the potential there."""
+        a, b = s.start, s.stop
+        # the cells around nodes a..b-1: a..b (sphere-like), a-1..b-1
+        # (periodic)
+        c = a - 1 if self._periodic else a
+        flux = self._cell_diffs(x, c, c + b - a + 1)
+        if c < 0:
+            flux[0] *= self.cond[-1]
+            flux[1:] *= self.cond[:b]
+        else:
+            flux *= self.cond[c:c + b - a + 1]
+        y = flux[:-1] - flux[1:]
+        del flux  # gone before the potential's product is formed
+        if self.potential is not None:
+            y += self.potential[s] * x[s]
+        return y
+
+    def residual_norm2(self, x: np.ndarray, lam: float,
+                       Wx: np.ndarray) -> float:
+        """||K x - lam Wx||^2 for Wx = W x, above one block without an
+        N-sized temporary (_blocked_dot)."""
+        if x.size <= DOT_BLOCK:
+            r = self.matvec(x) - lam * Wx
+            return dot(r, r)
+
+        def block(s):
+            r = self._block_matvec(x, s)
+            r -= lam * Wx[s]
+            return r, r
+        return _blocked_dot(x.size, block)
+
     def quadform(self, x: np.ndarray) -> float:
         """x^T K x in difference form, sum_cells cond (dx)^2 +
         sum_nodes potential x^2.  Every term is nonnegative, so the sum
         carries no cancellation: the relative rounding error stays at
-        machine precision at any grid size, unlike x . (K x)."""
-        d = self._diffs(x)
-        num = dot(d, self.cond * d)
-        if self.potential is not None:
-            num += dot(x, self.potential * x)
+        machine precision at any grid size, unlike x . (K x).  Above one
+        block, each sum is formed a block at a time (_blocked_dot)."""
+        pot = self.potential
+        if x.size <= DOT_BLOCK:
+            d = self._diffs(x)
+            num = dot(d, self.cond * d)
+            if pot is not None:
+                num += dot(x, pot * x)
+            return num
+
+        def cells(s):
+            d = self._cell_diffs(x, s.start, s.stop)
+            return d, self.cond[s] * d
+        num = _blocked_dot(self.cond.size, cells)
+        if pot is not None:
+            num += _blocked_dot(x.size, lambda s: (x[s], pot[s] * x[s]))
         return num
 
 
@@ -296,11 +411,13 @@ def cholesky_banded(d: np.ndarray, e: np.ndarray) -> tuple:
     return d, e
 
 
-def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
+def cho_solve_banded(factor: tuple, b: np.ndarray,
+                     overwrite: bool = False) -> np.ndarray:
     """x with (L D L^T) x = b for factor = (d, e) from cholesky_banded
-    (LAPACK dpttrs); b is left as it is.  perfbench traces this function
-    under this name (spectral.solve)."""
-    x, info = dpttrs(*factor, b)
+    (LAPACK dpttrs); b is left as it is unless overwrite, when x is
+    computed in place over b, which the caller must own.  perfbench
+    traces this function under this name (spectral.solve)."""
+    x, info = dpttrs(*factor, b, overwrite_b=overwrite)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of dpttrs")
     return x
@@ -339,7 +456,7 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
     d = op._node_cond() if node is None else node
     if op.potential is not None:
         d += op.potential
-    d += op.weight * -sigma
+    _axpy(-sigma, op.weight, d)
     e = -(op.cond[:-1] if periodic else op.cond[1:-1])
     if pin is None and not periodic:
         factor = cholesky_banded(d, e)
@@ -358,7 +475,7 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
     g = np.zeros(d.size)
     for i, c in links:
         g[i] += c
-    g = cho_solve_banded(factor, g)  # g[p] = 0
+    g = cho_solve_banded(factor, g, overwrite=True)  # g[p] = 0
     for i, c in links:
         s -= c * g[i]
     if not (s > 0 if pin is None else s < 0):
@@ -371,7 +488,7 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
         for i, c in links:
             xp -= c * x[i]
         xp /= s
-        x -= xp * g
+        _axpy(-xp, g, x)
         x[p] = xp
         return x
 
@@ -436,9 +553,19 @@ def _seed(op: DiscreteOperator, start) -> np.ndarray:
 
 def _fix_sign(x: np.ndarray) -> None:
     """Flip x in place so that its first non-negligible entry is > 0."""
-    a = np.abs(x)
     # argmax finds the first True; an all-zero x gives index 0, not flipped
-    if x[(a > 1e-12 * a.max()).argmax()] < 0:
+    if x.size <= DOT_BLOCK:
+        a = np.abs(x)
+        first = (a > 1e-12 * a.max()).argmax()
+    else:
+        blocks = _blocks(x.size)
+        cut = 1e-12 * max([float(np.abs(x[s]).max()) for s in blocks])
+        for s in blocks:
+            big = np.abs(x[s]) > cut
+            first = s.start + int(big.argmax())
+            if big.any():
+                break
+    if x[first] < 0:
         np.negative(x, out=x)
 
 
@@ -472,12 +599,17 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
             v -= dot(W, v) / mass
         return v
 
-    def backward_error(r, lam, v):
-        return math.sqrt(dot(r, r) / dot(v, v)) \
-            / (scale_K + abs(lam) * scale_W)
+    def backward_error(r2, lam, v):
+        # r2 = ||r||^2 of the residual r of lam at v
+        return math.sqrt(r2 / dot(v, v)) / (scale_K + abs(lam) * scale_W)
 
-    # only y (the iterate, W-normalized after each step), Wy and, within
-    # a step, W x stay alive: at N = 2^20 each is 8 MB
+    # above one block only two N-sized rows stay alive beside the
+    # factor, the iterate y (W-normalized after each step) and Wy: a
+    # step's solve replaces the spent y, W x stays in Wy's row until the
+    # step's reductions, which take block-sized pieces, are done, and
+    # the new W y is then formed there.  At N = 2^20 a row is 8 MB.  Up
+    # to one block W y gets a row of its own at once
+    small = op.size <= DOT_BLOCK
     y = project(_seed(op, start))
     Wy = W * y
     norm = dot(y, Wy)
@@ -497,7 +629,8 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     if lam == 0.0:
         # every flux and potential term vanishes: the seed spans the
         # kernel (constants on a flat product) and needs no step
-        return lam, y, 0, backward_error(op.matvec(y), lam, y), None
+        return lam, y, 0, backward_error(op.residual_norm2(y, lam, Wy),
+                                         lam, y), None
 
     # a refused factor's arrays are gone before another factor is made,
     # outside the except clause, whose traceback would keep them: no
@@ -515,22 +648,29 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     change = math.inf
     for it in range(1, max_iter + 1):
         Wx = Wy
+        del y  # spent: the solve's output takes its place
         y = project(solve(Wx))
-        Wy = W * y
-        yWy = dot(y, Wy)
+        if small:
+            Wy = W * y
+            yWy = dot(y, Wy)
+        else:
+            Wy = None
+            yWy = _blocked_dot(y.size, lambda s: (y[s], W[s] * y[s]))
         lam_prev, lam = lam, op.quadform(y) / yWy
         change = abs(lam - lam_prev)
         eta = math.inf
         if change <= CHANGE_TOL * max(abs(lam), lam_floor):
-            # K y - lam W y = W x + (sigma - lam) W y, in Wx's buffer
-            Wx += (sigma - lam) * Wy
-            eta = backward_error(Wx, lam, y)
+            # K y - lam W y = W x + (sigma - lam) W y
+            eta = backward_error(
+                _combined_norm2(Wx, sigma - lam, W, y, Wy), lam, y)
+        if Wy is None:
+            Wy = np.multiply(W, y, out=Wx)
         del Wx  # spent; freed before the explicit check below
         s = 1.0 / math.sqrt(yWy)
         y *= s
         Wy *= s
         if eta <= BACKWARD_TOL:
-            return lam, y, it, backward_error(op.matvec(y) - lam * Wy,
+            return lam, y, it, backward_error(op.residual_norm2(y, lam, Wy),
                                               lam, y), sigma
         if retry and change <= RETRY * abs(lam):
             # the far shift's factor goes first, and is made again if the
@@ -542,7 +682,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
                 pass
             if solve is None:
                 solve = _factor(op, sigma)
-    eta = backward_error(op.matvec(y) - lam * Wy, lam, y)
+    eta = backward_error(op.residual_norm2(y, lam, Wy), lam, y)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "
         f"{eta:.3e}, target {BACKWARD_TOL:g}; last eigenvalue change "
@@ -633,6 +773,7 @@ def nested_solve(kind: OperatorKind, geom: OrbitGeometry,
             for g in reversed(chain[levels + 1:]):
                 values = g.grid.prolong(values, _parity(kind))
             start = replace(start, values=values, grid=chain[levels].grid)
+            del values  # goes with the start it seeds, not with this frame
     lams = []
     # each coarser operator is dropped before the next is assembled
     for g in reversed(chain[1:levels]):

@@ -38,6 +38,17 @@ def test_field_must_vanish_at_poles(round_setup):
     v = np.sin(grid.nodes)
     f = InvariantField(values=v, grid=grid)
     assert f.values[0] == 0.0 and f.values[-1] == 0.0
+    # sin(L) is rounding, not 0.0: zeroed in a copy, v is left alone
+    assert v[-1] != 0.0 and not np.shares_memory(f.values, v)
+    # exact zeros at both poles: the field shares the array
+    v[-1] = 0.0
+    assert InvariantField(values=v, grid=grid).values is v
+    # one exact zero does not excuse the other pole
+    for pole in (0, -1):
+        w = v.copy()
+        w[pole] = 1e-3
+        with pytest.raises(ValueError, match="vanish"):
+            InvariantField(values=w, grid=grid)
 
 
 def test_function_needs_flat_pole_slope(round_setup):
