@@ -569,8 +569,9 @@ def _fix_sign(x: np.ndarray) -> None:
         np.negative(x, out=x)
 
 
-def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
-    """Shifted inverse iteration on K f = lambda W f from _seed(op).
+def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
+    """Shifted inverse iteration on K f = lambda W f from _seed(op) of
+    the start that the list start holds, which it pops.
 
     One step solves (K - sigma W) y = W x and takes lambda as the
     difference-form quotient of y.  sigma is the near shift of the
@@ -610,7 +611,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start=None):
     # the new W y is then formed there.  At N = 2^20 a row is 8 MB.  Up
     # to one block W y gets a row of its own at once
     small = op.size <= DOT_BLOCK
-    y = project(_seed(op, start))
+    y = project(_seed(op, start.pop()))
     Wy = W * y
     norm = dot(y, Wy)
     if norm <= 0:
@@ -711,9 +712,12 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
 
 
 def _eigenpair(op: DiscreteOperator, kind: OperatorKind, max_iter: int,
-               start) -> SpectralResult:
+               start: list) -> SpectralResult:
     """The solve behind both entry points, refusing an operator of the
-    other kind: op.kind alone picks the seed and the deflation."""
+    other kind: op.kind alone picks the seed and the deflation.  start
+    is a list holding the entry point's start, which the iteration
+    empties once the start is carried onto op's grid: a start handed on
+    by its caller is then not kept alive through the iteration."""
     if op.kind is not kind:
         raise ValueError(f"this query needs a {kind.value} operator, "
                          f"got {op.kind.value}")
@@ -727,6 +731,7 @@ def smallest_eigenpair(op: DiscreteOperator, max_iter: int = MAX_ITER,
     Deterministic: the seed is start (an eigenfunction on the half
     grid) interpolated onto this grid, or else _seed's analytic one.
     """
+    start = [start]  # rebound: the list, which _eigenpair empties
     return _eigenpair(op, OperatorKind.ROUGH_VECTOR, max_iter, start)
 
 
@@ -739,6 +744,7 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
     telescopes), so the first nonzero eigenvalue is found by deflating
     the constant mode from every iterate.
     """
+    start = [start]  # rebound: the list, which _eigenpair empties
     return _eigenpair(op, OperatorKind.SCALAR_LAPLACIAN, max_iter, start)
 
 
@@ -773,15 +779,19 @@ def nested_solve(kind: OperatorKind, geom: OrbitGeometry,
             for g in reversed(chain[levels + 1:]):
                 values = g.grid.prolong(values, _parity(kind))
             start = replace(start, values=values, grid=chain[levels].grid)
-            del values  # goes with the start it seeds, not with this frame
-    lams = []
-    # each coarser operator is dropped before the next is assembled
+            del values
+    # each start is handed on, not kept: no name here holds it while the
+    # solve it seeds runs (_eigenpair).  Each coarser operator is dropped
+    # before the next is assembled
+    lams, starts = [], [start]
+    del start
     for g in reversed(chain[1:levels]):
-        result = solve(assemble(kind, g), start=start)
+        result = solve(assemble(kind, g), start=starts.pop())
         lams.append(result.lam)
-        start = result.eigenfunction
+        starts.append(result.eigenfunction)
+        del result
     op = assemble(kind, geom)
-    result = solve(op, start=start)
+    result = solve(op, start=starts.pop())
     lams.append(result.lam)
     return lams, result, op
 
