@@ -570,8 +570,8 @@ def _fix_sign(x: np.ndarray) -> None:
 
 
 def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
-    """Shifted inverse iteration on K f = lambda W f from _seed(op) of
-    the start that the list start holds, which it pops.
+    """Shifted inverse iteration on K f = lambda W f from
+    _seed(op, start.pop()), start being _eigenpair's one-element list.
 
     One step solves (K - sigma W) y = W x and takes lambda as the
     difference-form quotient of y.  sigma is the near shift of the
