@@ -39,10 +39,8 @@ class InvariantField:
 
     values covers every node (sphere-like: 0..N with the pole entries
     stored, and equal to zero; periodic: 0..N-1 with implicit wrap).
-    A sphere-like field whose pole entries are exactly 0.0, as every
-    computed eigenfunction's are, shares its float array as a periodic
-    field does; other pole entries within rounding of zero are set to
-    0.0 in a copy, and larger ones refused.
+    A sphere-like field keeps its values in a copy whose pole entries
+    are set to 0.0, and refuses pole entries beyond rounding of zero.
     """
 
     values: np.ndarray
@@ -50,8 +48,7 @@ class InvariantField:
 
     def __post_init__(self):
         v = _nodal(self.values, self.grid, "field")
-        if (self.grid.topology is Topology.SPHERE_LIKE
-                and not v[0] == v[-1] == 0.0):
+        if self.grid.topology is Topology.SPHERE_LIKE:
             scale = float(np.abs(v).max()) or 1.0
             if max(abs(v[0]), abs(v[-1])) > 1e-12 * scale:
                 raise ValueError("invariant fields must vanish at the poles")
@@ -59,6 +56,17 @@ class InvariantField:
             v[0] = 0.0
             v[-1] = 0.0
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _owning(cls, values: np.ndarray, grid: RadialGrid) -> InvariantField:
+        """The field over values, taken as they are: a float array that
+        no one else holds, one entry per stored node, with sphere-like
+        pole entries exactly 0.0.  A solver's own eigenvector pays no
+        check and no copy this way."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "grid", grid)
+        return field
 
 
 @dataclass(frozen=True)

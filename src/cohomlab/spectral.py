@@ -143,9 +143,9 @@ def _blocks(size: int) -> list:
 
 
 def _blocked_dot(size: int, pair) -> float:
-    """dot(a, b) of two arrays of size > DOT_BLOCK entries that pair(s)
-    forms one block s of _blocks(size) at a time: dot's ddots, added in
-    dot's order, bit for bit, with no temporary longer than a block."""
+    """dot(a, b) of two arrays of size entries that pair(s) forms one
+    block s of _blocks(size) at a time: dot's ddots, added in dot's
+    order, bit for bit, with no temporary longer than a block."""
     # no name holds a block's pair while the next one is formed
     return sum(float(np.dot(*pair(s))) for s in _blocks(size))
 
@@ -169,9 +169,6 @@ def _combined_norm2(v: np.ndarray, c: float, W: np.ndarray, y: np.ndarray,
 
 def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
     """y += a x in place, a block at a time."""
-    if y.size <= DOT_BLOCK:
-        y += a * x
-        return
     for s in _blocks(y.size):
         y[s] += a * x[s]
 
@@ -219,38 +216,22 @@ class DiscreteOperator:
         node is _node_cond() if the caller has it, and is left as it is.
         """
         node = self._node_cond() if node is None else node
-        if node.size <= DOT_BLOCK:
-            row = 2.0 * node
-            if self.potential is not None:
-                row += self.potential
-            return float(row.max())
-        top = -math.inf
+        tops = []
         for s in _blocks(node.size):
             row = 2.0 * node[s]
             if self.potential is not None:
                 row += self.potential[s]
-            top = max(top, float(row.max()))
-        return top
+            tops.append(row.max())
+        return float(np.max(tops))
 
-    def _diffs(self, x: np.ndarray) -> np.ndarray:
-        """Differences of x across the N cells (x at the retained nodes;
-        sphere-like: against zero pole values; periodic: cyclic)."""
-        if self._periodic:
-            d = np.empty(x.size)
-            np.subtract(x[1:], x[:-1], out=d[:-1])
-            d[-1] = x[0] - x[-1]
-            return d
-        d = np.empty(x.size + 1)
-        d[0] = x[0]
-        np.subtract(x[1:], x[:-1], out=d[1:-1])
-        d[-1] = -x[-1]
-        return d
-
-    def _cell_diffs(self, x: np.ndarray, a: int, b: int) -> np.ndarray:
-        """_diffs(x)[a:b], computed alone: sphere-like cell j joins nodes
-        j - 1 and j, periodic cell j nodes j and j + 1, and there cell -1
-        is cell N - 1."""
+    def _diffs(self, x: np.ndarray, a: int = 0,
+               b: Optional[int] = None) -> np.ndarray:
+        """Differences of x (at the retained nodes) across cells a..b-1,
+        by default all N: sphere-like cell j joins nodes j - 1 and j,
+        against zero pole values; periodic cell j joins nodes j and
+        j + 1 cyclically, and there cell -1 is cell N - 1."""
         m = x.size
+        b = self.cond.size if b is None else b
         d = np.empty(b - a)
         if self._periodic:
             lo, hi = max(a, 0), min(b, m - 1)
@@ -268,26 +249,14 @@ class DiscreteOperator:
             d[-1] = -x[-1]
         return d
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        flux = self.cond * self._diffs(x)
-        if self._periodic:
-            y = np.empty(flux.size)
-            y[0] = flux[-1] - flux[0]
-            np.subtract(flux[:-1], flux[1:], out=y[1:])
-        else:
-            y = flux[:-1] - flux[1:]
-        if self.potential is not None:
-            y += self.potential * x
-        return y
-
-    def _block_matvec(self, x: np.ndarray, s: slice) -> np.ndarray:
-        """matvec(x)[s], computed alone: the fluxes of the cells on
-        either side of nodes s, and the potential there."""
-        a, b = s.start, s.stop
+    def matvec(self, x: np.ndarray, s: Optional[slice] = None) -> np.ndarray:
+        """K x, or its entries s = slice(a, b) alone: the fluxes of the
+        cells on either side of nodes a..b-1 and the potential there."""
+        a, b = (0, x.size) if s is None else (s.start, s.stop)
         # the cells around nodes a..b-1: a..b (sphere-like), a-1..b-1
         # (periodic)
         c = a - 1 if self._periodic else a
-        flux = self._cell_diffs(x, c, c + b - a + 1)
+        flux = self._diffs(x, c, c + b - a + 1)
         if c < 0:
             flux[0] *= self.cond[-1]
             flux[1:] *= self.cond[:b]
@@ -296,19 +265,15 @@ class DiscreteOperator:
         y = flux[:-1] - flux[1:]
         del flux  # gone before the potential's product is formed
         if self.potential is not None:
-            y += self.potential[s] * x[s]
+            y += self.potential[a:b] * x[a:b]
         return y
 
     def residual_norm2(self, x: np.ndarray, lam: float,
                        Wx: np.ndarray) -> float:
-        """||K x - lam Wx||^2 for Wx = W x, above one block without an
-        N-sized temporary (_blocked_dot)."""
-        if x.size <= DOT_BLOCK:
-            r = self.matvec(x) - lam * Wx
-            return dot(r, r)
-
+        """||K x - lam Wx||^2 for Wx = W x, with no temporary longer
+        than a block (_blocked_dot)."""
         def block(s):
-            r = self._block_matvec(x, s)
+            r = self.matvec(x, s)
             r -= lam * Wx[s]
             return r, r
         return _blocked_dot(x.size, block)
@@ -317,18 +282,12 @@ class DiscreteOperator:
         """x^T K x in difference form, sum_cells cond (dx)^2 +
         sum_nodes potential x^2.  Every term is nonnegative, so the sum
         carries no cancellation: the relative rounding error stays at
-        machine precision at any grid size, unlike x . (K x).  Above one
-        block, each sum is formed a block at a time (_blocked_dot)."""
+        machine precision at any grid size, unlike x . (K x).  Each sum
+        is formed a block at a time (_blocked_dot)."""
         pot = self.potential
-        if x.size <= DOT_BLOCK:
-            d = self._diffs(x)
-            num = dot(d, self.cond * d)
-            if pot is not None:
-                num += dot(x, pot * x)
-            return num
 
         def cells(s):
-            d = self._cell_diffs(x, s.start, s.stop)
+            d = self._diffs(x, s.start, s.stop)
             return d, self.cond[s] * d
         num = _blocked_dot(self.cond.size, cells)
         if pot is not None:
@@ -553,18 +512,14 @@ def _seed(op: DiscreteOperator, start) -> np.ndarray:
 
 def _fix_sign(x: np.ndarray) -> None:
     """Flip x in place so that its first non-negligible entry is > 0."""
-    # argmax finds the first True; an all-zero x gives index 0, not flipped
-    if x.size <= DOT_BLOCK:
-        a = np.abs(x)
-        first = (a > 1e-12 * a.max()).argmax()
-    else:
-        blocks = _blocks(x.size)
-        cut = 1e-12 * max([float(np.abs(x[s]).max()) for s in blocks])
-        for s in blocks:
-            big = np.abs(x[s]) > cut
-            first = s.start + int(big.argmax())
-            if big.any():
-                break
+    blocks = _blocks(x.size)
+    cut = 1e-12 * np.max([np.abs(x[s]).max() for s in blocks])
+    first = 0  # an all-zero x has none, and is not flipped
+    for s in blocks:
+        big = np.abs(x[s]) > cut
+        if big.any():
+            first = s.start + big.argmax()
+            break
     if x[first] < 0:
         np.negative(x, out=x)
 
@@ -705,8 +660,10 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
         if not vector:
             values[0] = (4.0 * x[0] - x[1]) / 3.0
             values[-1] = (4.0 * x[-1] - x[-2]) / 3.0
-    cls = InvariantField if vector else InvariantFunction
-    return SpectralResult(lam=lam, eigenfunction=cls(values=values, grid=grid),
+    # values is a fresh array here, and a field's poles are exactly 0.0
+    eigenfunction = (InvariantField._owning(values, grid) if vector
+                     else InvariantFunction(values=values, grid=grid))
+    return SpectralResult(lam=lam, eigenfunction=eigenfunction,
                           iterations=iterations, residual=residual,
                           shift=shift, grid_N=grid.N)
 

@@ -40,12 +40,18 @@ def test_field_must_vanish_at_poles(round_setup):
     assert f.values[0] == 0.0 and f.values[-1] == 0.0
     # sin(L) is rounding, not 0.0: zeroed in a copy, v is left alone
     assert v[-1] != 0.0 and not np.shares_memory(f.values, v)
-    # exact zeros at both poles: the field shares the array
-    v[-1] = 0.0
-    assert InvariantField(values=v, grid=grid).values is v
+    # a caller's array is copied even with exact zeros at the poles, so
+    # no later edit of it reaches a pole, and -0.0 is stored as 0.0
+    v[0], v[-1] = -0.0, 0.0
+    f = InvariantField(values=v, grid=grid)
+    assert not np.shares_memory(f.values, v)
+    assert not np.signbit(f.values[0])
+    v[-1] = 1.0
+    assert f.values[-1] == 0.0
     # one exact zero does not excuse the other pole
     for pole in (0, -1):
-        w = v.copy()
+        w = np.sin(grid.nodes)
+        w[[0, -1]] = 0.0
         w[pole] = 1e-3
         with pytest.raises(ValueError, match="vanish"):
             InvariantField(values=w, grid=grid)

@@ -781,14 +781,21 @@ def test_blocked_reductions_match_whole_arrays(request, monkeypatch, profile,
 
     whole = solves()
     monkeypatch.setattr(spectral, "DOT_BLOCK", 7)
-    d = op._diffs(x)
+    # the cell differences and K x as whole arrays
+    d = np.roll(x, -1) - x if not sphere else np.diff(x, prepend=0.0,
+                                                      append=0.0)
+    flux = op.cond * d
+    Kx = np.roll(flux, 1) - flux if not sphere else flux[:-1] - flux[1:]
     xKx = dot(d, op.cond * d)
     if pot is not None:
+        Kx += pot * x
         xKx += dot(x, pot * x)
+    np.testing.assert_array_equal(op._diffs(x), d)
+    np.testing.assert_array_equal(op.matvec(x), Kx)
     assert op.quadform(x) == xKx
     assert spectral._blocked_dot(size, lambda s: (x[s], W[s] * x[s])) \
         == dot(x, W * x)
-    r = op.matvec(x) - 0.7 * (W * x)
+    r = Kx - 0.7 * (W * x)
     assert op.residual_norm2(x, 0.7, W * x) == dot(r, r)
     r = v + 0.3 * (W * x)
     assert spectral._combined_norm2(v.copy(), 0.3, W, x) == dot(r, r)
