@@ -120,13 +120,15 @@ def rigidity_diagnostics(minimizer: InvariantField,
     n = geom.n
     # the minimizer is the gradient profile f = h' of its potential h
     f, fp, lap, hess2 = radial_calculus(minimizer, geom)
+    i2 = weighted_integral(lap * lap, geom)
+    ih = weighted_integral(hess2, geom)
+    # gone before the other residuals' temporaries are formed: at
+    # N = 2^15 a verdict would otherwise peak here, not in its solves
+    del lap, hess2
+    lap_eq = abs(i2 - n * ih) / max(1.0, i2)
 
     umb = float((f * f * np.abs(geom.H ** 2 - geom.B2 / (n - 1))).max())
     rad = math.sqrt(weighted_integral((fp + geom.H * f) ** 2, geom))
-
-    i2 = weighted_integral(lap * lap, geom)
-    ih = weighted_integral(hess2, geom)
-    lap_eq = abs(i2 - n * ih) / max(1.0, i2)
     return RigidityDiagnostics(umbilic_residual=umb, radial_ode_residual=rad,
                                laplacian_equality_residual=lap_eq)
 

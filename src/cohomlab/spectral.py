@@ -152,25 +152,20 @@ def _blocked_dot(size: int, pair) -> float:
 
 def _combined_norm2(v: np.ndarray, c: float, W: np.ndarray, y: np.ndarray,
                     Wy: Optional[np.ndarray] = None) -> float:
-    """||v + c W y||^2, summed as dot sums it, and v's entries are spent:
-    in place over v from Wy = W y if the caller has it, else without an
-    N-sized temporary."""
+    """||v + c W y||^2, summed as dot sums it; v's entries are spent.
+    In place over v from Wy = W y if the caller has it; else a block at
+    a time, with no N-sized temporary, leaving W y in v."""
     if Wy is not None:
         v += c * Wy
         return dot(v, v)
 
     def block(s):
-        r = W[s] * y[s]
-        r *= c
+        wy = W[s] * y[s]
+        r = c * wy
         r += v[s]
+        v[s] = wy
         return r, r
     return _blocked_dot(y.size, block)
-
-
-def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
-    """y += a x in place, a block at a time."""
-    for s in _blocks(y.size):
-        y[s] += a * x[s]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +210,10 @@ class DiscreteOperator:
         an upper bound on ||K||_2 that is tight for these stencils;
         node is _node_cond() if the caller has it, and is left as it is.
         """
-        node = self._node_cond() if node is None else node
-        tops = []
-        for s in _blocks(node.size):
-            row = 2.0 * node[s]
-            if self.potential is not None:
-                row += self.potential[s]
-            tops.append(row.max())
-        return float(np.max(tops))
+        row = 2.0 * (self._node_cond() if node is None else node)
+        if self.potential is not None:
+            row += self.potential
+        return float(row.max())
 
     def _diffs(self, x: np.ndarray, a: int = 0,
                b: Optional[int] = None) -> np.ndarray:
@@ -415,7 +406,7 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
     d = op._node_cond() if node is None else node
     if op.potential is not None:
         d += op.potential
-    _axpy(-sigma, op.weight, d)
+    d += op.weight * -sigma
     e = -(op.cond[:-1] if periodic else op.cond[1:-1])
     if pin is None and not periodic:
         factor = cholesky_banded(d, e)
@@ -447,7 +438,8 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
         for i, c in links:
             xp -= c * x[i]
         xp /= s
-        _axpy(-xp, g, x)
+        for b in _blocks(x.size):
+            x[b] -= xp * g[b]
         x[p] = xp
         return x
 
@@ -512,10 +504,10 @@ def _seed(op: DiscreteOperator, start) -> np.ndarray:
 
 def _fix_sign(x: np.ndarray) -> None:
     """Flip x in place so that its first non-negligible entry is > 0."""
-    blocks = _blocks(x.size)
-    cut = 1e-12 * np.max([np.abs(x[s]).max() for s in blocks])
+    # max |x| is max(max x, -min x) exactly, with no N-sized temporary
+    cut = 1e-12 * max(x.max(), -x.min())
     first = 0  # an all-zero x has none, and is not flipped
-    for s in blocks:
+    for s in _blocks(x.size):
         big = np.abs(x[s]) > cut
         if big.any():
             first = s.start + big.argmax()
@@ -614,13 +606,15 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
             yWy = _blocked_dot(y.size, lambda s: (y[s], W[s] * y[s]))
         lam_prev, lam = lam, op.quadform(y) / yWy
         change = abs(lam - lam_prev)
+        checked = change <= CHANGE_TOL * max(abs(lam), lam_floor)
         eta = math.inf
-        if change <= CHANGE_TOL * max(abs(lam), lam_floor):
+        if checked:
             # K y - lam W y = W x + (sigma - lam) W y
             eta = backward_error(
                 _combined_norm2(Wx, sigma - lam, W, y, Wy), lam, y)
         if Wy is None:
-            Wy = np.multiply(W, y, out=Wx)
+            # W y takes Wx's row, where _combined_norm2 has put it
+            Wy = Wx if checked else np.multiply(W, y, out=Wx)
         del Wx  # spent; freed before the explicit check below
         s = 1.0 / math.sqrt(yWy)
         y *= s
