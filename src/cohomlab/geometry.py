@@ -120,7 +120,7 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     # afresh, and freeing a block six times that size keeps them mapped
     # up to N = 3 * 2^14.  Not at 2^16 and up, where a verdict still
     # peaks above twice the block: fine-grid's median op there faults
-    # about 350-380 (2^16) and 1,600-1,700 (2^17) pages in (see README)
+    # about 220-350 (2^16) and 1,400-1,600 (2^17) pages in (see README)
     block = np.empty((6, r.size))
     m = phi_retained.size
     H, B2, w, w_mid, phi, dphi = (block[0, :m], block[1, :m], block[2],
