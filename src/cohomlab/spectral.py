@@ -227,18 +227,24 @@ class DiscreteOperator:
         by default all N: sphere-like cell j joins nodes j - 1 and j,
         against zero pole values; periodic cell j joins nodes j and
         j + 1 cyclically, and there cell -1 is cell N - 1."""
+        # the cells whose two nodes are both retained are lo..hi-1 (the
+        # clamps are conditionals: max and min cost a whole-array call
+        # a tenth more at one block)
         m = x.size
-        b = self.cond.size if b is None else b
+        if b is None:
+            b = self.cond.size
         d = np.empty(b - a)
         if self._periodic:
-            lo, hi = max(a, 0), min(b, m - 1)
+            lo = a if a > 0 else 0
+            hi = b if b < m - 1 else m - 1
             np.subtract(x[lo + 1:hi + 1], x[lo:hi], out=d[lo - a:hi - a])
             if a < 0:
                 d[0] = x[0] - x[-1]
             if b == m:
                 d[-1] = x[0] - x[-1]
             return d
-        lo, hi = max(a, 1), min(b, m)
+        lo = a if a > 1 else 1
+        hi = b if b < m else m
         np.subtract(x[lo:hi], x[lo - 1:hi - 1], out=d[lo - a:hi - a])
         if a == 0:
             d[0] = x[0]
@@ -446,13 +452,15 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
         raise LinAlgError(f"Schur complement {s:.3e} at node {p} not "
                           + ("positive" if pin is None else "negative"))
 
+    blocks = _blocks(d.size)
+
     def solve(r):
         x = cho_solve_banded(factor, r)
         xp = float(r[p])
         for i, c in links:
             xp -= c * x[i]
         xp /= s
-        for b in _blocks(x.size):
+        for b in blocks:
             x[b] -= xp * g[b]
         x[p] = xp
         return x
