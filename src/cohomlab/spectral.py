@@ -228,8 +228,8 @@ class DiscreteOperator:
         against zero pole values; periodic cell j joins nodes j and
         j + 1 cyclically, and there cell -1 is cell N - 1."""
         # the cells whose two nodes are both retained are lo..hi-1 (the
-        # clamps are conditionals: max and min cost a whole-array call
-        # a tenth more at one block)
+        # clamps are conditional expressions: with max and min a call
+        # over one block's cells took about 13 % longer)
         m = x.size
         if b is None:
             b = self.cond.size
