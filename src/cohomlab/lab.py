@@ -17,6 +17,7 @@ declared band before it can be tested numerically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 from .fields import (InvariantField, derivative, radial_calculus,
                      weighted_integral)
 from .geometry import OrbitGeometry, orbit_geometry, ricci_profile
-from .spectral import OperatorKind, dot, nested_solve
+from .spectral import OperatorKind, assemble, dot, nested_solve
 from .warp import (RadialGrid, WarpProfile, ensure_usable,
                    grid_for, lookup_preset, make_preset)
 
@@ -143,9 +144,8 @@ def check_bound(profile: WarpProfile, N: int = 2048) -> TheoremReport:
     """
     ensure_usable(profile)
     geom = orbit_geometry(profile, grid_for(profile, RadialGrid.halvable(N)))
-    # keep the results, not the N operator's three N-sized arrays, and
-    # of the minimizer only lambda_min once its residuals are taken
-    lams, fine = nested_solve(OperatorKind.ROUGH_VECTOR, geom, 2)[:2]
+    # of the minimizer keep only lambda_min once its residuals are taken
+    lams, fine = nested_solve(OperatorKind.ROUGH_VECTOR, geom, 2)
     rigid = rigidity_diagnostics(fine.eigenfunction, geom)
     lam_min = fine.lam
     del fine
@@ -196,16 +196,21 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
         raise ValueError(
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {kappa2:.6g}")
-    # the scalar eigenfunction is not kept, only mu1 and the operator
-    [mu1], scalar = nested_solve(OperatorKind.SCALAR_LAPLACIAN, geom)[::2]
+    # of the solves keep only mu1, lambda_min and g: the scalar operator
+    # is assembled again for the residual, not kept alive through the
+    # vector solve
+    mu1 = nested_solve(OperatorKind.SCALAR_LAPLACIAN, geom)[1].lam
     vec = nested_solve(OperatorKind.ROUGH_VECTOR, geom)[1]
-    mu = profile.n * kappa2
+    lam_min = vec.lam
     g = grid.retained(derivative(vec.eigenfunction.values, grid, parity="odd"))
+    del vec
+    scalar = assemble(OperatorKind.SCALAR_LAPLACIAN, geom)
+    mu = profile.n * kappa2
     Wg = scalar.weight * g
     res = scalar.matvec(g) - mu * Wg
     g_res = math.sqrt(dot(res, res / scalar.weight) / dot(g, Wg)) / mu
     return ObataReport(defect=abs(mu1 - mu), mu1=mu1, kappa2=kappa2,
-                       g_residual=g_res, lambda_min=vec.lam, grid_N=grid.N)
+                       g_residual=g_res, lambda_min=lam_min, grid_N=grid.N)
 
 
 # --- parameter sweeps ----------------------------------------------------
@@ -216,9 +221,10 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     """check_bound across a preset family; one row per parameter value.
 
     n is refused unless an integer >= 2, param (default: the family's
-    sweep_param) and base_params unless warp.PRESETS has them, and N
-    unless check_bound's half grid exists (even N >= 32), all before any
-    row runs.  A failing row carries its error message instead of
+    sweep_param) and base_params unless warp.PRESETS has them, N unless
+    check_bound's half grid exists (even N >= 32), and each value unless
+    a real number other than a bool, all before any row runs.  A failing
+    row (a NaN value's, for one) carries its error message instead of
     aborting the sweep.
     obata_defect is |mu1 - n*kappa2| (well-defined for any sign of kappa2).
     """
@@ -228,6 +234,11 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     base = dict(base_params or {})
     preset.check([param, *base])
     RadialGrid.halvable(N)
+    values = list(values)
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"sweep values[{i}] must be a real number, "
+                             f"got {v!r}")
 
     def run(value: float) -> SweepRow:
         try:

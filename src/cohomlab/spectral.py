@@ -132,8 +132,10 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     # a.dot(b): a @ b's BLAS ddot and bits at about half its call cost
     if a.size <= DOT_BLOCK:
         return float(a.dot(b))
-    return sum(float(a[i:i + DOT_BLOCK].dot(b[i:i + DOT_BLOCK]))
-               for i in range(0, a.size, DOT_BLOCK))
+    total = 0.0
+    for s in _blocks(a.size):
+        total += float(a[s].dot(b[s]))
+    return total
 
 
 def _blocks(size: int) -> list:
@@ -144,34 +146,21 @@ def _blocks(size: int) -> list:
             for i in range(0, size, DOT_BLOCK)]
 
 
-def _blocked_dot(size: int, pair) -> float:
-    """dot(a, b) of two arrays of size entries that pair(s) forms one
-    block s of _blocks(size) at a time: dot's ddots, added in dot's
-    order, bit for bit, with no temporary longer than a block."""
-    total = 0.0
-    for s in _blocks(size):
-        a, b = pair(s)
-        total += float(a.dot(b))
-        del a, b  # gone before the next block's pair is formed
-    return total
-
-
 def _combined_norm2(v: np.ndarray, c: float, W: np.ndarray, y: np.ndarray,
                     Wy: Optional[np.ndarray] = None) -> float:
-    """||v + c W y||^2, summed as dot sums it; v's entries are spent.
-    In place over v from Wy = W y if the caller has it; else a block at
-    a time, with no N-sized temporary, leaving W y in v."""
-    if Wy is not None:
-        v += c * Wy
-        return dot(v, v)
-
-    def block(s):
-        wy = W[s] * y[s]
+    """||v + c W y||^2, summed as dot sums it, with no temporary longer
+    than a block; v's entries are spent.  W y is read from Wy if the
+    caller has it, else formed a block at a time and left in v."""
+    total = 0.0
+    for s in _blocks(y.size):
+        wy = W[s] * y[s] if Wy is None else Wy[s]
         r = c * wy
         r += v[s]
-        v[s] = wy
-        return r, r
-    return _blocked_dot(y.size, block)
+        if Wy is None:
+            v[s] = wy
+        total += float(r.dot(r))
+        del wy, r  # gone before the next block's are formed
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,36 +262,32 @@ class DiscreteOperator:
 
     def residual_norm2(self, x: np.ndarray, lam: float,
                        Wx: np.ndarray) -> float:
-        """||K x - lam Wx||^2 for Wx = W x, with no temporary longer
-        than a block (_blocked_dot)."""
-        def block(s):
+        """||K x - lam Wx||^2 for Wx = W x, summed as dot sums it, with
+        no temporary longer than a block."""
+        total = 0.0
+        for s in _blocks(x.size):
             r = self.matvec(x, s)
             r -= lam * Wx[s]
-            return r, r
-        return _blocked_dot(x.size, block)
+            total += float(r.dot(r))
+            del r
+        return total
 
     def quadform(self, x: np.ndarray) -> float:
         """x^T K x in difference form, sum_cells cond (dx)^2 +
-        sum_nodes potential x^2.  Every term is nonnegative, so the sum
+        sum_nodes potential x^2, each sum formed a block at a time and
+        summed as dot sums it.  Every term is nonnegative, so the sum
         carries no cancellation: the relative rounding error stays at
-        machine precision at any grid size, unlike x . (K x).  Above one
-        block each sum is formed a block at a time (_blocked_dot)."""
-        pot = self.potential
-        if x.size <= DOT_BLOCK:
-            # whole arrays, the same bits: verify-mix, whose quotients
-            # are all one block, ran 2 % faster so (10 of 10 pairs)
-            d = self._diffs(x)
-            num = dot(d, self.cond * d)
-            if pot is not None:
-                num += dot(x, pot * x)
-            return num
-
-        def cells(s):
+        machine precision at any grid size, unlike x . (K x)."""
+        num = 0.0
+        for s in _blocks(self.cond.size):
             d = self._diffs(x, s.start, s.stop)
-            return d, self.cond[s] * d
-        num = _blocked_dot(self.cond.size, cells)
-        if pot is not None:
-            num += _blocked_dot(x.size, lambda s: (x[s], pot[s] * x[s]))
+            num += float(d.dot(self.cond[s] * d))
+            del d
+        if self.potential is not None:
+            pot = 0.0
+            for s in _blocks(x.size):
+                pot += float(x[s].dot(self.potential[s] * x[s]))
+            num += pot
         return num
 
 
@@ -620,8 +605,9 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
             Wy = W * y
             yWy = dot(y, Wy)
         else:
-            Wy = None
-            yWy = _blocked_dot(y.size, lambda s: (y[s], W[s] * y[s]))
+            Wy, yWy = None, 0.0
+            for b in _blocks(y.size):
+                yWy += float(y[b].dot(W[b] * y[b]))
         lam_prev, lam = lam, op.quadform(y) / yWy
         change = abs(lam - lam_prev)
         checked = change <= CHANGE_TOL * max(abs(lam), lam_floor)
@@ -719,8 +705,8 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
 
 def nested_solve(kind: OperatorKind, geom: OrbitGeometry,
                  levels: int = 1) -> tuple:
-    """(eigenvalues coarse to fine, result, operator) of kind on geom's
-    grid and the levels - 1 grids below it, each solve started from the
+    """(eigenvalues coarse to fine, result) of kind on geom's grid and
+    the levels - 1 grids below it, each solve started from the
     eigenfunction of the one before (nested iteration).
 
     geom's halving chain (OrbitGeometry.restrict) is built once and runs
@@ -759,10 +745,9 @@ def nested_solve(kind: OperatorKind, geom: OrbitGeometry,
         lams.append(result.lam)
         starts.append(result.eigenfunction)
         del result
-    op = assemble(kind, geom)
-    result = solve(op, start=starts.pop())
+    result = solve(assemble(kind, geom), start=starts.pop())
     lams.append(result.lam)
-    return lams, result, op
+    return lams, result
 
 
 def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
@@ -779,7 +764,7 @@ def solve_smallest(profile: WarpProfile, kind: OperatorKind, N: int,
     """
     levels = 2 if richardson else 1
     grid = grid_for(profile, RadialGrid.halvable(N, levels - 1))
-    lams, result, _ = nested_solve(kind, orbit_geometry(profile, grid), levels)
+    lams, result = nested_solve(kind, orbit_geometry(profile, grid), levels)
     extrap = lams[1] + (lams[1] - lams[0]) / 3.0 if richardson else None
     return replace(result, extrapolated=extrap)
 

@@ -137,6 +137,17 @@ def test_sweep_refuses_a_bad_dimension_before_any_row(monkeypatch, n):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", ["x", None, True])
+def test_sweep_refuses_a_bad_value_before_any_row(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(lab, "check_bound",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError,
+                       match=r"values\[2\] must be a real number, got "):
+        sweep("Bump", [0.0, 0.05, bad], n=3, N=256)
+    assert calls == []
+
+
 def _solve_sizes(monkeypatch):
     """Grid size of every inverse iteration from now on."""
     seen = []
@@ -182,9 +193,9 @@ def test_nested_solves_start_on_one_coarse_grid(round_n2, monkeypatch, run,
 
 
 def test_obata_mu1_is_check_bounds(bump01_n2, monkeypatch):
-    # obata_check takes mu1 and its scalar operator from the same
-    # spectral.nested_solve call as check_bound's mu1, and its vector solve
-    # from one more: each a coarse solve on N/8, then N
+    # obata_check takes mu1 from the same spectral.nested_solve call as
+    # check_bound's mu1, and its vector solve from one more: each a
+    # coarse solve on N/8, then N
     N = 2 ** 15
     mu1 = check_bound(bump01_n2, N=N).obata_mu1
     seen = _solve_sizes(monkeypatch)
@@ -328,14 +339,16 @@ def test_sweep_round_family_ratio():
 
 
 def test_sweep_captures_row_errors():
-    # a = c makes the profile touch zero: constructor refuses, row
-    # records the error, remaining rows are unaffected
-    rows = sweep("PeriodicProduct", [0.2, 1.0, 0.4], n=3, N=512,
-                 base_params={"c": 1.0})
+    # a = c makes the profile touch zero, and a NaN a is no profile:
+    # constructor refuses, row records the error, remaining rows are
+    # unaffected
+    rows = sweep("PeriodicProduct", [0.2, 1.0, np.float64(0.4), math.nan],
+                 n=3, N=512, base_params={"c": 1.0})
     assert rows[0].error is None
     assert rows[1].error is not None and "ValueError" in rows[1].error
     assert math.isnan(rows[1].lambda_min)
     assert rows[2].error is None
+    assert rows[3].error is not None and "ValueError" in rows[3].error
     assert rows[0].verdict is Verdict.HYPOTHESIS_NOT_MET
 
 
