@@ -76,8 +76,8 @@ class RicciProfile:
     argmin_r: float
 
 
-def _require(profile: WarpProfile, grid: RadialGrid, positive: bool = False,
-             **arrays) -> None:
+def require(profile: WarpProfile, grid: RadialGrid, positive: bool = False,
+            **arrays) -> None:
     """Every entry finite, or with positive every entry > 0 (a NaN
     passes that test and is named by the finite one); else ValueError
     naming the grid point of the first bad entry.  One reduction accepts
@@ -113,7 +113,7 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     # coordinate singularity without special-casing the pole cells
     phi_mid = np.asarray(profile.phi(grid.midpoints), float)
     phi_retained = grid.retained(phi_nodes)
-    _require(profile, grid, positive=True, phi=phi_retained, phi_mid=phi_mid)
+    require(profile, grid, positive=True, phi=phi_retained, phi_mid=phi_mid)
     # the six arrays are rows of one block: glibc hands free heap back to
     # the kernel above twice the largest block the process has freed, so
     # with N-sized arrays alone every fine-grid op faults its pages in
@@ -143,7 +143,7 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
         # poles carry zero weight exactly, whatever roundoff phi(L) left
         w[0] = 0.0
         w[-1] = 0.0
-    _require(profile, grid, H=H, B2=B2, w=w, w_mid=w_mid)
+    require(profile, grid, H=H, B2=B2, w=w, w_mid=w_mid)
     return OrbitGeometry(H=H, B2=B2, w=w, w_mid=w_mid, phi=phi, dphi=dphi,
                          grid=grid, profile=profile)
 
@@ -165,8 +165,8 @@ def ricci_profile(geom: OrbitGeometry) -> RicciProfile:
     d2phi = np.asarray(profile.d2phi(ri), float)
     ric_radial = -(n - 1) * d2phi / phi
     ric_tangential = -d2phi / phi + (n - 2) * (1.0 - dphi * dphi) / (phi * phi)
-    _require(profile, geom.grid, ric_radial=ric_radial,
-             ric_tangential=ric_tangential)
+    require(profile, geom.grid, ric_radial=ric_radial,
+            ric_tangential=ric_tangential)
     stacked = np.minimum(ric_radial, ric_tangential)
     i = int(stacked.argmin())
     ric_min = float(stacked[i])

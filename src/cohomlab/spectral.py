@@ -33,7 +33,7 @@ from numpy.linalg import LinAlgError
 
 from ._openblas import quiet_threads
 from .fields import InvariantField, InvariantFunction
-from .geometry import OrbitGeometry, orbit_geometry
+from .geometry import OrbitGeometry, orbit_geometry, require
 from .warp import RadialGrid, Topology, WarpProfile, grid_for
 
 
@@ -326,8 +326,7 @@ def assemble(kind: OperatorKind, geom: OrbitGeometry) -> DiscreteOperator:
         # Neumann: no flux through the poles, the two boundary cells conduct 0
         cond[0] = cond[-1] = 0.0
     weight = w * dx
-    if not (weight > 0).all():
-        raise ValueError("mass entries must be positive at retained nodes")
+    require(geom.profile, grid, positive=True, mass=weight)
     return DiscreteOperator(kind=kind, cond=cond, potential=potential,
                             weight=weight, grid=grid)
 
@@ -462,25 +461,26 @@ def _sign_change(y: np.ndarray) -> int:
 
 
 def _near_shift(op: DiscreteOperator, lam: float, y: np.ndarray,
-                node: Optional[np.ndarray] = None) -> tuple:
+                node: Optional[np.ndarray] = None) -> Optional[tuple]:
     """(sigma, solver) for the near shift sigma = lam (1 - DELTA) from
     the quotient lam of the iterate y, kept only where the factor that
-    does the solves certifies it (LinAlgError otherwise); node as for
-    _factor.
+    does the solves certifies it, else None; node as for _factor.  A
+    refused factor's arrays are gone when this returns.
 
     Vector kind: _factor finds no eigenvalue below sigma, so sigma lies
     below lambda_min.  Sphere-like scalar kind: pinned at y's sign
     change, _factor finds one, the constants', so 0 < sigma < mu1.  The
     periodic scalar kind has no such certificate (its eigenfunction
-    changes sign twice) and is always refused.
+    changes sign twice) and is always refused, without a factor.
     """
+    if op.kind is OperatorKind.SCALAR_LAPLACIAN and op._periodic:
+        return None
     sigma = lam * (1.0 - DELTA)
-    if op.kind is OperatorKind.ROUGH_VECTOR:
-        return sigma, _factor(op, sigma, node=node)
-    if op._periodic:
-        raise LinAlgError("no near-shift certificate for a periodic "
-                          "scalar operator")
-    return sigma, _factor(op, sigma, _sign_change(y), node)
+    pin = None if op.kind is OperatorKind.ROUGH_VECTOR else _sign_change(y)
+    try:
+        return sigma, _factor(op, sigma, pin, node)
+    except LinAlgError:
+        return None
 
 
 def _parity(kind: OperatorKind) -> str:
@@ -525,11 +525,12 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     One step solves (K - sigma W) y = W x and takes lambda as the
     difference-form quotient of y.  sigma is the near shift of the
     seed's quotient (_near_shift) if its factor certifies it, else the
-    far shift -SHIFT max(1, |lambda_0|); in that case the first step
-    that moves lambda by at most RETRY |lambda| tries the near shift of
-    the current iterate once more, and a second refusal keeps the far
-    shift to the end.  Iteration stops once lambda moved by at most
-    CHANGE_TOL max(|lambda|, eps ||K|| / max W) in the step and the
+    far shift -SHIFT max(1, |lambda_0|).  Then, except on the periodic
+    scalar kind, which has no certificate, the first step that moves
+    lambda by at most RETRY |lambda| tries the near shift of the current
+    iterate once more, and a second refusal keeps the far shift to the
+    end.  Iteration stops once lambda moved by at most CHANGE_TOL
+    max(|lambda|, eps ||K|| / max W) in the step and the
     normwise backward error (Rigal-Gaches) eta = ||K y - lambda W y|| /
     ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
     Since K y = W x + sigma W y, that residual costs no matvec; the
@@ -583,19 +584,13 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
         return lam, y, 0, backward_error(op.residual_norm2(y, lam, Wy),
                                          lam, y), None
 
-    # a refused factor's arrays are gone before another factor is made,
-    # outside the except clause, whose traceback would keep them: no
-    # solve ever holds two factors
-    solve = None
-    try:
-        sigma, solve = _near_shift(op, lam, y, node)
-    except LinAlgError:
-        pass
+    # node, spent by a refused near factor, is gone before the far one
+    # is made: no solve ever holds two factors
+    near = _near_shift(op, lam, y, node)
     del node
-    retry = solve is None
-    if retry:
-        sigma = -SHIFT * max(1.0, abs(lam))
-        solve = _factor(op, sigma)
+    retry = near is None and not (scalar and op._periodic)
+    far = -SHIFT * max(1.0, abs(lam))
+    sigma, solve = near or (far, _factor(op, far))
     change = math.inf
     for it in range(1, max_iter + 1):
         Wx = Wy
@@ -630,12 +625,8 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
             # the far shift's factor goes first, and is made again if the
             # near shift is refused
             retry, solve = False, None
-            try:
-                sigma, solve = _near_shift(op, lam, y)
-            except LinAlgError:
-                pass
-            if solve is None:
-                solve = _factor(op, sigma)
+            sigma, solve = (_near_shift(op, lam, y)
+                            or (sigma, _factor(op, sigma)))
     eta = backward_error(op.residual_norm2(y, lam, Wy), lam, y)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "

@@ -249,6 +249,8 @@ def periodic_product_profile(c: float, a: float, n: int,
     """
     if not (0 <= a < c):
         raise ValueError(f"periodic product needs 0 <= a < c, got a={a}, c={c}")
+    if not L > 0:  # before om divides by it
+        raise ValueError(f"domain length must be positive, got {L}")
     om = 2.0 * math.pi / L
     return WarpProfile(
         n=n,
@@ -568,10 +570,11 @@ def read_config(cfg) -> Config:
     entry, params = PRESETS.get(str(ptype)), {}
     if ptype == "samples":
         _cfg_object(preset, "preset.", ("type", "r", "phi"))
-        profile = profile_from_samples(
+        build = functools.partial(
+            profile_from_samples,
             _cfg_list(_cfg_get(preset, "r", "preset."), "preset.r"),
             _cfg_list(_cfg_get(preset, "phi", "preset."), "preset.phi"),
-            n=n, topology=topology)
+            topology=topology)
     else:
         if entry is None:
             raise ValueError(
@@ -585,7 +588,11 @@ def read_config(cfg) -> Config:
             p: _cfg_real(_cfg_get(preset, p, "preset.") if p in entry.required
                          else preset.get(p, default), f"preset.{p}")
             for p, default in entry.defaults.items()}
-        profile = entry.builder(n=n, **params)
+        build = functools.partial(entry.builder, **params)
+    try:
+        profile = build(n=n)
+    except ValueError as exc:  # a range or relation the builder checks
+        raise ValueError(f"config path 'preset': {exc}") from None
     N = _cfg_int(_cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."), "grid.N")
     sweep, converge = sections["sweep"], sections["converge"]
     param = sweep.get("param")

@@ -52,6 +52,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         tr.write_line(f"criterion {num}: {state} - {CRITERIA[num]}")
 
 
+class ChildEnv(dict):
+    """A child interpreter's environment, whose repr, which a failing
+    test's traceback prints for each fixture, shows PYTHONPATH alone."""
+
+    def __repr__(self):
+        return f"ChildEnv(PYTHONPATH={self['PYTHONPATH']!r}, ...)"
+
+
 @pytest.fixture(scope="session")
 def package_env():
     """os.environ with the directory of the imported cohomlab first on
@@ -59,7 +67,7 @@ def package_env():
     import cohomlab
     root = str(Path(cohomlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path}
+    return ChildEnv(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,19 @@ def test_verify_periodic_exit_zero(periodic_cfg, capsys):
     assert payload["verdict"] == "HypothesisNotMet"
 
 
+def test_verify_inconclusive_exit_zero(tmp_path, capsys):
+    # Inconclusive is exit 0: the bound holds (tests/test_lab.py)
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps({"n": 2, "topology": "sphere_like",
+                                "preset": {"type": "bump", "eps": 1.56e-5},
+                                "grid": {"N": 2048}}))
+    code = main(["verify", "--config", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["verdict"] == "Inconclusive"
+    assert payload["bound_holds"] is True
+
+
 def test_verify_exit_one_on_violation(round_cfg, capsys, monkeypatch):
     # no usable profile violates the bound (that is the theorem), so
     # the exit-1 contract is exercised with a stubbed report
@@ -311,6 +324,30 @@ BAD_DOCUMENTS = [
     pytest.param("spectrum", {"converge": {"grids": [8]}},
                  "converge.grids[0]",
                  id="converge-grids-small-in-unread-section"),
+    pytest.param("verify", {"topology": "torus"}, "topology",
+                 id="topology-unknown"),
+    pytest.param("verify", {"preset": {"type": "ellipsoid"}}, "preset.type",
+                 id="preset-type-unknown"),
+    # values each of which is a finite number, refused by the builder
+    pytest.param("verify", {"preset": {"type": "round", "k": 0}}, "preset",
+                 id="round-k-zero"),
+    pytest.param("verify", {"preset": {"type": "bump", "eps": 1.5}},
+                 "preset", id="bump-eps-large"),
+    *(pytest.param("verify", {"topology": "periodic", "preset": {
+        "type": "periodic_product", "c": 1.0, **params}}, "preset", id=name)
+      for name, params in [("periodic-L-zero", {"a": 0.3, "L": 0}),
+                           ("periodic-L-negative", {"a": 0.3, "L": -1.0}),
+                           ("periodic-a-not-below-c", {"a": 1.0})]),
+    *(pytest.param("verify", {"topology": topology, "preset": {
+        "type": "samples", "r": r, "phi": phi}}, "preset", id=name)
+      for name, topology, r, phi in [
+          ("samples-short", "sphere_like", [0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+          ("samples-lengths", "sphere_like", [0.0, 1.0, 2.0, 3.0],
+           [0.0, 1.0, 1.0, 1.0, 0.0]),
+          ("samples-order", "sphere_like", [0.0, 2.0, 1.0, 3.0],
+           [0.0, 1.0, 1.0, 0.0]),
+          ("samples-seam", "periodic", [0.0, 1.0, 2.0, 3.0],
+           [1.0, 1.2, 0.8, 1.1])]),
 ]
 
 
@@ -372,6 +409,14 @@ def test_sweep_config_checked_like_verify(tmp_path, capsys, drop, topology,
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert named in payload["error"]
+
+
+def test_package_env_repr_shows_only_pythonpath(package_env):
+    # a failing test prints its fixtures' reprs: the environment's other
+    # variables, whatever they hold, stay out of the log
+    assert len(package_env) > 1
+    assert repr(package_env) == (
+        f"ChildEnv(PYTHONPATH={package_env['PYTHONPATH']!r}, ...)")
 
 
 def test_import_skips_interpolate_and_integrate(package_env):

@@ -51,6 +51,18 @@ def test_periodic_always_hypothesis_not_met(periodic_n3):
     assert rep.kappa2 <= 0
 
 
+def test_inconclusive_between_the_round_and_strict_bands():
+    # Bump(1.56e-5): the gap, 9.96e-5, is within tol_rigid = 1e-4, but
+    # |mu1 - n kappa2| = 2.005e-4 exceeds n tol_rigid, so the verdict is
+    # neither round nor strictly above; the bound still holds
+    rep = check_bound(make_preset("Bump", n=2, eps=1.56e-5), N=2048)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.tol_rigid == 1e-4
+    assert 0 < rep.gap <= rep.tol_rigid
+    assert abs(rep.obata_mu1 - 2 * rep.kappa2) > 2 * rep.tol_rigid
+    assert rep.bound_holds
+
+
 def test_bound_holds_definition(bump01_n2):
     rep = check_bound(bump01_n2, N=1024)
     assert rep.bound_holds == (rep.gap >= -rep.tol_disc)
@@ -366,7 +378,7 @@ def test_sweep_rejects_unknown_parameters():
         sweep("PeriodicProduct", [0.1], n=3, N=256, base_params={"cc": 2.0})
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(eps=st.floats(0.0, 0.16))
 def test_bound_soundness_on_bump_family(eps):
     # kappa2 = 1 - 6 eps > 0 on this range; the bound must hold
@@ -376,7 +388,7 @@ def test_bound_soundness_on_bump_family(eps):
     assert rep.bound_holds
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(c=st.floats(0.6, 1.8), frac=st.floats(0.05, 0.7))
 def test_periodic_verdict_property(c, frac):
     prof = make_preset("PeriodicProduct", n=3, c=c, a=c * frac)

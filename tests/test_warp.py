@@ -68,19 +68,19 @@ def test_profile_stores_a_numpy_dimension_as_int():
                                  default=lambda v: v.value))["n"] == 3
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(k=st.floats(0.3, 3.0), n=st.integers(2, 7))
 def test_round_always_usable(k, n):
     assert validate(round_profile(k=k, n=n)).usable
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(eps=st.floats(0.0, 0.45), n=st.integers(2, 5))
 def test_bump_always_usable(eps, n):
     assert validate(bump_profile(eps=eps, n=n)).usable
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(c=st.floats(0.5, 2.0), frac=st.floats(0.0, 0.8), n=st.integers(2, 5))
 def test_periodic_product_always_usable(c, frac, n):
     assert validate(periodic_product_profile(c=c, a=c * frac, n=n)).usable
@@ -89,6 +89,12 @@ def test_periodic_product_always_usable(c, frac, n):
 def test_periodic_product_rejects_touching_zero():
     with pytest.raises(ValueError):
         periodic_product_profile(c=1.0, a=1.0, n=3)
+
+
+@pytest.mark.parametrize("L", [0, 0.0, -1.0])
+def test_periodic_product_refuses_a_length_before_dividing_by_it(L):
+    with pytest.raises(ValueError, match="domain length must be positive"):
+        periodic_product_profile(c=1.0, a=0.3, n=3, L=L)
 
 
 def test_make_preset_spellings():
