@@ -26,7 +26,7 @@ from .geometry import orbit_geometry, ricci_profile
 from .lab import TheoremReport, check_bound, sweep as run_sweep
 from .spectral import (ConvergenceError, OperatorKind, convergence_study,
                        solve_smallest)
-from .warp import Config, RadialGrid, read_config
+from .warp import Config, RadialGrid, at_config_path, read_config
 
 KINDS = {"vector": OperatorKind.ROUGH_VECTOR,
          "scalar": OperatorKind.SCALAR_LAPLACIAN}
@@ -71,14 +71,6 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _half_grid(N: int) -> int:
-    """RadialGrid.halvable(N), its refusal naming config path 'grid.N'."""
-    try:
-        return RadialGrid.halvable(N)
-    except ValueError as exc:
-        raise ValueError(f"config path 'grid.N': {exc}") from None
-
-
 def _cmd_geometry(cfg: Config, args) -> int:
     profile, grid = cfg.profile, cfg.grid
     geom = orbit_geometry(profile, grid)
@@ -107,7 +99,7 @@ def _cmd_geometry(cfg: Config, args) -> int:
 def _cmd_spectrum(cfg: Config, args) -> int:
     profile, N = cfg.profile, cfg.grid.N
     if args.richardson:
-        _half_grid(N)
+        at_config_path("grid.N", RadialGrid.halvable, N)
     result = solve_smallest(profile, KINDS[args.kind], N,
                             richardson=args.richardson)
     payload = {
@@ -139,7 +131,8 @@ def _report_payload(rep: TheoremReport) -> dict:
 
 def _cmd_verify(cfg: Config, args) -> int:
     profile, grid = cfg.profile, cfg.grid
-    rep = check_bound(profile, N=_half_grid(grid.N))
+    rep = check_bound(profile,
+                      N=at_config_path("grid.N", RadialGrid.halvable, grid.N))
     _emit_json(_report_payload(rep), args.out)
     _say(f"verify {profile.preset_tag}: verdict={rep.verdict.value} "
          f"gap={rep.gap:.6g} (tol_disc={rep.tol_disc:.2g})")
@@ -150,7 +143,8 @@ def _cmd_sweep(cfg: Config, args) -> int:
     if cfg.sweep_values is None:
         raise ValueError("config path 'sweep': missing")
     rows = run_sweep(cfg.preset, cfg.sweep_values, n=cfg.profile.n,
-                     N=_half_grid(cfg.grid.N),
+                     N=at_config_path("grid.N", RadialGrid.halvable,
+                                      cfg.grid.N),
                      param=cfg.sweep_param, base_params=cfg.params)
     table = [(r.param, r.kappa2, r.lambda_min, r.gap, r.obata_defect,
               r.verdict.value if r.verdict else "", r.error or "")

@@ -15,6 +15,7 @@ enter with weight zero and need no special quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,20 @@ from .geometry import OrbitGeometry, ricci_profile
 from .warp import RadialGrid, Topology
 
 
-def _nodal(values, grid: RadialGrid, what: str) -> np.ndarray:
-    """values as floats, refused unless there is one per stored node."""
+def _nodal(values, grid: RadialGrid, what: str) -> tuple:
+    """(values as floats, max |value|), refused unless there is one per
+    stored node and each is finite (exactly when that max is), naming
+    the first node that is not; the pole checks reuse the max."""
     v = np.asarray(values, float)
     size = grid.N if grid.topology is Topology.PERIODIC else grid.N + 1
     if v.shape != (size,):
         raise ValueError(
             f"{what} needs {size} nodal values, got shape {v.shape}")
-    return v
+    top = float(np.abs(v).max())
+    if not math.isfinite(top):
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"{what} is not finite at node {i}")
+    return v, top
 
 
 @dataclass(frozen=True)
@@ -41,15 +48,16 @@ class InvariantField:
     stored, and equal to zero; periodic: 0..N-1 with implicit wrap).
     A sphere-like field keeps its values in a copy whose pole entries
     are set to 0.0, and refuses pole entries beyond rounding of zero.
+    Fields and functions refuse a value that is not finite (_nodal).
     """
 
     values: np.ndarray
     grid: RadialGrid
 
     def __post_init__(self):
-        v = _nodal(self.values, self.grid, "field")
+        v, top = _nodal(self.values, self.grid, "field")
         if self.grid.topology is Topology.SPHERE_LIKE:
-            scale = float(np.abs(v).max()) or 1.0
+            scale = top or 1.0
             if max(abs(v[0]), abs(v[-1])) > 1e-12 * scale:
                 raise ValueError("invariant fields must vanish at the poles")
             v = v.copy()
@@ -77,14 +85,14 @@ class InvariantFunction:
     grid: RadialGrid
 
     def __post_init__(self):
-        v = _nodal(self.values, self.grid, "function")
+        v, top = _nodal(self.values, self.grid, "function")
         if self.grid.topology is Topology.SPHERE_LIKE:
             # smoothness surrogate: one-sided slope at the poles must be
             # small (an even extension has h'(0) = h'(L) = 0); the
             # dx^(1/3) scaling stays well above the O(dx) slope of any
             # resolvable even function while rejecting O(1) violations
             dx = self.grid.dx
-            scale = max(1.0, float(np.abs(v).max()) * 2.0 * np.pi / self.grid.L)
+            scale = max(1.0, top * 2.0 * np.pi / self.grid.L)
             tol = scale * dx ** (1.0 / 3.0)
             one_sided = max(abs(v[1] - v[0]), abs(v[-1] - v[-2])) / dx
             if one_sided > tol:

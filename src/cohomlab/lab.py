@@ -223,9 +223,9 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
     n is refused unless an integer >= 2, param (default: the family's
     sweep_param) and base_params unless warp.PRESETS has them, N unless
     check_bound's half grid exists (even N >= 32), and each value unless
-    a real number other than a bool, all before any row runs.  A failing
-    row (a NaN value's, for one) carries its error message instead of
-    aborting the sweep.
+    a real number other than a bool that a float holds, all before any
+    row runs.  A failing row (a NaN value's, for one) carries its error
+    message instead of aborting the sweep.
     obata_defect is |mu1 - n*kappa2| (well-defined for any sign of kappa2).
     """
     preset = lookup_preset(family)
@@ -239,6 +239,11 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ValueError(f"sweep values[{i}] must be a real number, "
                              f"got {v!r}")
+        try:
+            values[i] = float(v)
+        except OverflowError:  # an integer too large for a float
+            raise ValueError(f"sweep values[{i}] is too large for a "
+                             f"float") from None
 
     def run(value: float) -> SweepRow:
         try:
@@ -254,4 +259,4 @@ def sweep(family: str, values: Sequence[float], n: int, N: int = 1024,
                             obata_defect=float("nan"), verdict=None,
                             error=f"{type(exc).__name__}: {exc}")
 
-    return tuple(run(float(v)) for v in values)
+    return tuple(run(v) for v in values)

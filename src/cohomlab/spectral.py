@@ -533,9 +533,11 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     max(|lambda|, eps ||K|| / max W) in the step and the
     normwise backward error (Rigal-Gaches) eta = ||K y - lambda W y|| /
     ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
-    Since K y = W x + sigma W y, that residual costs no matvec; the
-    returned residual is eta recomputed with an explicit K x at the
-    accepted iterate.
+    Since K y = W x + sigma W y, that residual costs no matvec, but the
+    identity holds only for an exact solve: the returned residual, eta
+    recomputed with an explicit K x at the accepted iterate, can exceed
+    BACKWARD_TOL (4.4e-14 on an asymmetric spline's scalar solve at
+    N = 256, where a stop test on it stalls).
 
     The scalar kind removes the constant mode W-orthogonally from
     every iterate (to step past the kernel of the scalar problem).
@@ -580,7 +582,10 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     lam_floor = EPS * scale_K / scale_W
     if lam == 0.0:
         # every flux and potential term vanishes: the seed spans the
-        # kernel (constants on a flat product) and needs no step
+        # kernel (constants on a flat product) and needs no step.  A
+        # scalar one is a constant left by deflation as rounding
+        if scalar:
+            raise ValueError("seed vector vanishes after deflation")
         return lam, y, 0, backward_error(op.residual_norm2(y, lam, Wy),
                                          lam, y), None
 
@@ -688,7 +693,8 @@ def first_nonzero_scalar_eigenvalue(op: DiscreteOperator,
 
     The scalar operator annihilates constants (the flux form
     telescopes), so the first nonzero eigenvalue is found by deflating
-    the constant mode from every iterate.
+    the constant mode from every iterate.  A start in the constants
+    leaves nothing once deflated, and raises ValueError.
     """
     start = [start]  # rebound: the list, which _eigenpair empties
     return _eigenpair(op, OperatorKind.SCALAR_LAPLACIAN, max_iter, start)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -55,12 +56,13 @@ class WarpProfile:
 
     @staticmethod
     def dimension(n) -> int:
-        """int(n); n must be an integer >= 2 (numpy integers pass, bool
-        not)."""
+        """int(n); n must be an integer >= 2 that a float holds (numpy
+        integers pass, bool not): the weight phi^(n-1) takes n as a
+        float."""
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
-                or n < 2:
-            raise ValueError(f"dimension n must be an integer >= 2, "
-                             f"got {n!r}")
+                or not 2 <= n <= sys.float_info.max:
+            raise ValueError(f"dimension n must be an integer >= 2 that a "
+                             f"float holds, got {n!r}")
         return int(n)
 
     @functools.cached_property
@@ -368,13 +370,12 @@ class Preset:
     sweep_param: str
     topology: Topology
 
-    def check(self, names, path: str = "") -> None:
-        """Raise ValueError on a non-parameter, naming path.format(it)."""
+    def check(self, names) -> None:
+        """Raise ValueError on the first name that is not a parameter."""
         for p in names:
             if not (isinstance(p, str) and p in self.defaults):
-                where = f"config path '{path.format(p)}': " if path else ""
                 raise ValueError(
-                    f"{where}preset {self.name!r} has no parameter {p!r} "
+                    f"preset {self.name!r} has no parameter {p!r} "
                     f"(it takes {', '.join(self.defaults)})")
 
 
@@ -491,11 +492,21 @@ def ensure_usable(profile: WarpProfile) -> None:
 #  "converge": {"grids": [int >= MIN_GRID], 3 or more, doubling}} (optional)
 #
 # read_config checks the whole document at once, and refuses any key
-# outside it; errors name the config path.
+# outside it; errors name the config path.  n, topology, preset keys and
+# grid sizes are refused by the API's own rules (at_config_path).
 
 # top-level keys, each with its section's keys (None: not a keyed section)
 CONFIG_KEYS = {"n": None, "topology": None, "preset": None, "grid": ("N",),
                "sweep": ("param", "values"), "converge": ("grids",)}
+
+
+def at_config_path(path: str, check: Callable, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError re-raised as
+    "config path '<path>': <message>"."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config path '{path}': {exc}") from None
 
 
 def _cfg_object(cfg, path: str, known=None) -> dict:
@@ -517,20 +528,12 @@ def _cfg_get(cfg: dict, key: str, path: str):
 
 
 def _cfg_real(value, path: str) -> float:
+    # NaN, inf and an integer too large for a float fail abs(value) <= max
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValueError(f"config path '{path}': expected a finite number, "
-                         f"got {value!r}")
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"config path '{path}': expected a finite "
+                         f"number that a float holds, got {value!r}")
     return float(value)
-
-
-def _cfg_int(value, path: str, minimum: int = MIN_GRID) -> int:
-    """value, refused (naming path) unless an integer >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or value < minimum:
-        raise ValueError(f"config path '{path}': expected integer >= "
-                         f"{minimum}, got {value!r}")
-    return value
 
 
 def _cfg_list(values, path: str, item=_cfg_real) -> list:
@@ -559,12 +562,9 @@ def read_config(cfg) -> Config:
     _cfg_object(cfg, "", CONFIG_KEYS)
     sections = {key: _cfg_object(cfg.get(key, {}), f"{key}.", known)
                 for key, known in CONFIG_KEYS.items() if known}
-    n = _cfg_int(_cfg_get(cfg, "n", ""), "n", minimum=2)
-    topo_name = _cfg_get(cfg, "topology", "")
-    if topo_name not in ("sphere_like", "periodic"):
-        raise ValueError(f"config path 'topology': expected 'sphere_like' "
-                         f"or 'periodic', got {topo_name!r}")
-    topology = Topology(topo_name)
+    n = at_config_path("n", WarpProfile.dimension, _cfg_get(cfg, "n", ""))
+    topology = at_config_path("topology", Topology,
+                              _cfg_get(cfg, "topology", ""))
     preset = _cfg_get(cfg, "preset", "")
     ptype = _cfg_get(preset, "type", "preset.")
     entry, params = PRESETS.get(str(ptype)), {}
@@ -582,35 +582,32 @@ def read_config(cfg) -> Config:
         if entry.topology is not topology:
             raise ValueError(
                 f"config path 'topology': preset {ptype!r} implies "
-                f"{entry.topology.value!r}, config says {topo_name!r}")
-        entry.check((k for k in preset if k != "type"), path="preset.{}")
+                f"{entry.topology.value!r}, config says {topology.value!r}")
+        for key in (k for k in preset if k != "type"):
+            at_config_path(f"preset.{key}", entry.check, [key])
         params = {
             p: _cfg_real(_cfg_get(preset, p, "preset.") if p in entry.required
                          else preset.get(p, default), f"preset.{p}")
             for p, default in entry.defaults.items()}
         build = functools.partial(entry.builder, **params)
-    try:
-        profile = build(n=n)
-    except ValueError as exc:  # a range or relation the builder checks
-        raise ValueError(f"config path 'preset': {exc}") from None
-    N = _cfg_int(_cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."), "grid.N")
+    profile = at_config_path("preset", build, n=n)
+    grid = at_config_path("grid.N", grid_for, profile,
+                          _cfg_get(_cfg_get(cfg, "grid", ""), "N", "grid."))
     sweep, converge = sections["sweep"], sections["converge"]
     param = sweep.get("param")
     if "sweep" in cfg and entry is None:
         raise ValueError("config path 'sweep': a 'samples' preset has no "
                          "parameter to sweep")
     if param is not None:
-        entry.check([param], path="sweep.param")
+        at_config_path("sweep.param", entry.check, [param])
     values = (_cfg_list(_cfg_get(sweep, "values", "sweep."), "sweep.values")
               if "sweep" in cfg else None)
-    grids = _cfg_list(converge.get("grids", []), "converge.grids", _cfg_int)
+    grids = _cfg_list(converge.get("grids", []), "converge.grids",
+                      lambda N, path: at_config_path(path, grid_for,
+                                                     profile, N).N)
     if "grids" in converge:
-        try:
-            RadialGrid.doubling(grids)
-        except ValueError as exc:
-            raise ValueError(f"config path 'converge.grids': {exc}") from None
-    return Config(profile, grid_for(profile, N), ptype, params, param,
-                  values, grids)
+        at_config_path("converge.grids", RadialGrid.doubling, grids)
+    return Config(profile, grid, ptype, params, param, values, grids)
 
 
 def profile_from_config(cfg: dict) -> tuple[WarpProfile, RadialGrid]:

@@ -326,6 +326,13 @@ BAD_DOCUMENTS = [
                  id="converge-grids-small-in-unread-section"),
     pytest.param("verify", {"topology": "torus"}, "topology",
                  id="topology-unknown"),
+    # a JSON integer too large for a float, where a number is expected
+    pytest.param("verify", {"preset": {"type": "round", "k": 10 ** 400}},
+                 "preset.k", id="k-too-large-for-a-float"),
+    pytest.param("sweep", {"sweep": {"values": [0.5, 10 ** 400]}},
+                 "sweep.values[1]", id="sweep-value-too-large-for-a-float"),
+    pytest.param("verify", {"n": 10 ** 400}, "n",
+                 id="n-too-large-for-a-float"),
     pytest.param("verify", {"preset": {"type": "ellipsoid"}}, "preset.type",
                  id="preset-type-unknown"),
     # values each of which is a finite number, refused by the builder

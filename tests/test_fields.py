@@ -57,6 +57,34 @@ def test_field_must_vanish_at_poles(round_setup):
             InvariantField(values=w, grid=grid)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node", [0, 7, -1])
+@pytest.mark.parametrize("cls", [InvariantField, InvariantFunction])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_nodal_values_must_be_finite(round_setup, periodic_n3, periodic,
+                                     cls, node, bad):
+    # a NaN at a pole used to be stored as 0.0, an interior one to make
+    # energy_functional NaN, and an inf function was accepted
+    grid = grid_for(periodic_n3, 64) if periodic else round_setup[1]
+    r = grid.nodes
+    v = np.sin(r) if cls is InvariantField else np.cos(r)
+    v[node] = bad
+    with pytest.raises(ValueError,
+                       match=f"not finite at node {node % r.size}$"):
+        cls(values=v, grid=grid)
+
+
+@pytest.mark.parametrize("cls", [InvariantField, InvariantFunction])
+def test_nodal_values_need_one_per_stored_node(round_setup, periodic_n3, cls):
+    # a sphere-like grid stores nodes 0..N, a circle 0..N-1
+    for grid in (round_setup[1], grid_for(periodic_n3, 64)):
+        stored = grid.nodes.size
+        for size in (stored - 1, stored + 1):
+            with pytest.raises(ValueError, match=rf"needs {stored} nodal "
+                               rf"values, got shape \({size},\)$"):
+                cls(values=np.zeros(size), grid=grid)
+
+
 def test_function_needs_flat_pole_slope(round_setup):
     _, grid, _ = round_setup
     InvariantFunction(values=np.cos(grid.nodes), grid=grid)  # even: fine
@@ -127,6 +155,16 @@ def test_energy_functional_rejects_zero_field(round_setup):
     z = InvariantField(values=np.zeros(grid.N + 1), grid=grid)
     with pytest.raises(ValueError, match="zero"):
         energy_functional(z, geom)
+    with pytest.raises(ValueError, match="^zero field$"):
+        bochner_bound(z, geom)
+
+
+def test_energy_functional_refuses_a_field_of_another_grid(round_setup):
+    _, grid, geom = round_setup
+    half = grid.half()
+    f = InvariantField(values=np.sin(half.nodes), grid=half)
+    with pytest.raises(ValueError, match="different grids"):
+        energy_functional(f, geom)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -160,6 +160,18 @@ def test_sweep_refuses_a_bad_value_before_any_row(monkeypatch, bad):
     assert calls == []
 
 
+def test_sweep_refuses_a_value_too_large_for_a_float_before_any_row(
+        monkeypatch):
+    # float(10**400) raises OverflowError, which used to escape the sweep
+    calls = []
+    monkeypatch.setattr(lab, "check_bound",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError,
+                       match=r"^sweep values\[1\] is too large for a float$"):
+        sweep("Bump", [0.0, 10 ** 400], n=2, N=64)
+    assert calls == []
+
+
 def _solve_sizes(monkeypatch):
     """Grid size of every inverse iteration from now on."""
     seen = []

@@ -390,8 +390,12 @@ def test_eigenvalue_matches_dense_eigh_on_asymmetric_splines(i, kind):
     profile = _asymmetric_spline(i)
     op, _, _ = _op(profile, kind, 256)
     want = _dense_eigh(op)[0][0 if kind is OperatorKind.ROUGH_VECTOR else 1]
-    assert solve_smallest(profile, kind, 256).lam \
-        == pytest.approx(want, rel=1e-10)
+    result = solve_smallest(profile, kind, 256)
+    assert result.lam == pytest.approx(want, rel=1e-10)
+    # the stop test reads the step's identity residual, which assumes an
+    # exact solve; the returned explicit one can exceed BACKWARD_TOL
+    # (4.4e-14 on spline 6's scalar solve), not by orders of magnitude
+    assert result.residual <= 1e-13
 
 
 _FINE_PROFILES = {
@@ -735,6 +739,23 @@ def test_start_must_live_on_the_half_grid(round_n2):
                                    128)[0]).eigenfunction
     with pytest.raises(ValueError, match="half grid"):
         smallest_eigenpair(op, start=other)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0])
+@pytest.mark.parametrize("family, params", [
+    ("Bump", dict(eps=0.1)), ("PeriodicProduct", dict(c=1.0, a=0.3))])
+def test_scalar_start_in_the_constants_is_refused(family, params, value):
+    # deflating a constant start leaves a rounding-level constant, whose
+    # quotient is exactly 0: the constants' eigenvalue, which the scalar
+    # solve skips, came back after 0 iterations.  A zero start leaves
+    # nothing at all
+    prof = make_preset(family, n=3, **params)
+    op, grid, _ = _op(prof, OperatorKind.SCALAR_LAPLACIAN, 128)
+    half = grid.half()
+    start = InvariantFunction(np.full(half.nodes.size, value), half)
+    with pytest.raises(ValueError,
+                       match="^seed vector vanishes after deflation$"):
+        first_nonzero_scalar_eigenvalue(op, start=start)
 
 
 def test_round_eigenvalues_at_two_to_the_twenty(round_n3):

@@ -95,6 +95,9 @@ def test_periodic_product_rejects_touching_zero():
 def test_periodic_product_refuses_a_length_before_dividing_by_it(L):
     with pytest.raises(ValueError, match="domain length must be positive"):
         periodic_product_profile(c=1.0, a=0.3, n=3, L=L)
+    # and a profile built directly refuses it too
+    with pytest.raises(ValueError, match="domain length must be positive"):
+        dataclasses.replace(round_profile(k=1.0, n=3), L=L)
 
 
 def test_make_preset_spellings():
