@@ -207,7 +207,7 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     scalar = assemble(OperatorKind.SCALAR_LAPLACIAN, geom)
     mu = profile.n * kappa2
     Wg = scalar.weight * g
-    res = scalar.matvec(g) - mu * Wg
+    res = scalar.residual(g, mu, Wg)
     g_res = math.sqrt(dot(res, res / scalar.weight) / dot(g, Wg)) / mu
     return ObataReport(defect=abs(mu1 - mu), mu1=mu1, kappa2=kappa2,
                        g_residual=g_res, lambda_min=lam_min, grid_N=grid.N)

@@ -215,7 +215,7 @@ class DiscreteOperator:
         """Differences of x (at the retained nodes) across cells a..b-1,
         by default all N: sphere-like cell j joins nodes j - 1 and j,
         against zero pole values; periodic cell j joins nodes j and
-        j + 1 cyclically, and there cell -1 is cell N - 1."""
+        j + 1 cyclically."""
         # the cells whose two nodes are both retained are lo..hi-1 (the
         # clamps are conditional expressions: with max and min a call
         # over one block's cells took about 13 % longer)
@@ -224,11 +224,8 @@ class DiscreteOperator:
             b = self.cond.size
         d = np.empty(b - a)
         if self._periodic:
-            lo = a if a > 0 else 0
             hi = b if b < m - 1 else m - 1
-            np.subtract(x[lo + 1:hi + 1], x[lo:hi], out=d[lo - a:hi - a])
-            if a < 0:
-                d[0] = x[0] - x[-1]
+            np.subtract(x[a + 1:hi + 1], x[a:hi], out=d[:hi - a])
             if b == m:
                 d[-1] = x[0] - x[-1]
             return d
@@ -241,36 +238,28 @@ class DiscreteOperator:
             d[-1] = -x[-1]
         return d
 
-    def matvec(self, x: np.ndarray, s: Optional[slice] = None) -> np.ndarray:
-        """K x, or its entries s = slice(a, b) alone: the fluxes of the
-        cells on either side of nodes a..b-1 and the potential there."""
-        a, b = (0, x.size) if s is None else (s.start, s.stop)
-        # the cells around nodes a..b-1: a..b (sphere-like), a-1..b-1
-        # (periodic)
-        c = a - 1 if self._periodic else a
-        flux = self._diffs(x, c, c + b - a + 1)
-        if c < 0:
-            flux[0] *= self.cond[-1]
-            flux[1:] *= self.cond[:b]
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """K x: at each node the flux of the cell before it minus that of
+        the cell after it, plus the potential there."""
+        flux = self._diffs(x)
+        flux *= self.cond
+        if self._periodic:  # the cell before node 0 is cell N - 1
+            y = np.empty(x.size)
+            y[0] = flux[-1] - flux[0]
+            np.subtract(flux[:-1], flux[1:], out=y[1:])
         else:
-            flux *= self.cond[c:c + b - a + 1]
-        y = flux[:-1] - flux[1:]
+            y = flux[:-1] - flux[1:]
         del flux  # gone before the potential's product is formed
         if self.potential is not None:
-            y += self.potential[a:b] * x[a:b]
+            y += self.potential * x
         return y
 
-    def residual_norm2(self, x: np.ndarray, lam: float,
-                       Wx: np.ndarray) -> float:
-        """||K x - lam Wx||^2 for Wx = W x, summed as dot sums it, with
-        no temporary longer than a block."""
-        total = 0.0
-        for s in _blocks(x.size):
-            r = self.matvec(x, s)
-            r -= lam * Wx[s]
-            total += float(r.dot(r))
-            del r
-        return total
+    def residual(self, x: np.ndarray, lam: float,
+                 Wx: np.ndarray) -> np.ndarray:
+        """K x - lam Wx for Wx = W x, as one whole array."""
+        r = self.matvec(x)
+        r -= lam * Wx
+        return r
 
     def quadform(self, x: np.ndarray) -> float:
         """x^T K x in difference form, sum_cells cond (dx)^2 +
@@ -535,9 +524,9 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
     Since K y = W x + sigma W y, that residual costs no matvec, but the
     identity holds only for an exact solve: the returned residual, eta
-    recomputed with an explicit K x at the accepted iterate, can exceed
-    BACKWARD_TOL (4.4e-14 on an asymmetric spline's scalar solve at
-    N = 256, where a stop test on it stalls).
+    of op.residual's explicit K y - lambda W y at the accepted iterate,
+    can exceed BACKWARD_TOL (4.4e-14 on an asymmetric spline's scalar
+    solve at N = 256, where a stop test on it stalls).
 
     The scalar kind removes the constant mode W-orthogonally from
     every iterate (to step past the kernel of the scalar problem).
@@ -586,8 +575,9 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
         # scalar one is a constant left by deflation as rounding
         if scalar:
             raise ValueError("seed vector vanishes after deflation")
-        return lam, y, 0, backward_error(op.residual_norm2(y, lam, Wy),
-                                         lam, y), None
+        del node  # gone before the explicit residual is formed whole
+        r = op.residual(y, lam, Wy)
+        return lam, y, 0, backward_error(dot(r, r), lam, y), None
 
     # node, spent by a refused near factor, is gone before the far one
     # is made: no solve ever holds two factors
@@ -596,6 +586,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     retry = near is None and not (scalar and op._periodic)
     far = -SHIFT * max(1.0, abs(lam))
     sigma, solve = near or (far, _factor(op, far))
+    del near  # solve is then the only reference to the factor
     change = math.inf
     for it in range(1, max_iter + 1):
         Wx = Wy
@@ -624,15 +615,18 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
         y *= s
         Wy *= s
         if eta <= BACKWARD_TOL:
-            return lam, y, it, backward_error(op.residual_norm2(y, lam, Wy),
-                                              lam, y), sigma
+            del solve  # the factor, gone before r is formed
+            r = op.residual(y, lam, Wy)
+            return lam, y, it, backward_error(dot(r, r), lam, y), sigma
         if retry and change <= RETRY * abs(lam):
             # the far shift's factor goes first, and is made again if the
             # near shift is refused
             retry, solve = False, None
             sigma, solve = (_near_shift(op, lam, y)
                             or (sigma, _factor(op, sigma)))
-    eta = backward_error(op.residual_norm2(y, lam, Wy), lam, y)
+    del solve
+    r = op.residual(y, lam, Wy)
+    eta = backward_error(dot(r, r), lam, y)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "
         f"{eta:.3e}, target {BACKWARD_TOL:g}; last eigenvalue change "

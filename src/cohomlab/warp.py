@@ -51,8 +51,10 @@ class WarpProfile:
     def __post_init__(self):
         # stored as a Python int, so that reports carrying n dump as JSON
         object.__setattr__(self, "n", self.dimension(self.n))
-        if not self.L > 0:
-            raise ValueError(f"domain length must be positive, got {self.L}")
+        object.__setattr__(self, "topology", Topology(self.topology))
+        if not 0 < self.L <= sys.float_info.max:
+            raise ValueError(f"domain length must be positive and held by a "
+                             f"float, got {self.L}")
 
     @staticmethod
     def dimension(n) -> int:
@@ -83,8 +85,12 @@ class RadialGrid:
     def __post_init__(self):
         # stored as a Python int, so that reports carrying N dump as JSON
         object.__setattr__(self, "N", self.integral(self.N))
+        object.__setattr__(self, "topology", Topology(self.topology))
         if self.N < MIN_GRID:
             raise ValueError(f"grid needs N >= {MIN_GRID}, got {self.N}")
+        if (self.N + 1) * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"grid N = {self.N} is too large: its N + 1 "
+                             f"nodes of 8 bytes cannot be addressed")
 
     @staticmethod
     def integral(N) -> int:
@@ -197,8 +203,9 @@ class ValidationReport:
 
 def round_profile(k: float, n: int) -> WarpProfile:
     """Round sphere of curvature k^2: phi = sin(kr)/k on [0, pi/k]."""
-    if not k > 0:
-        raise ValueError(f"curvature scale k must be positive, got {k}")
+    if not 0 < k <= sys.float_info.max:
+        raise ValueError(f"curvature scale k must be positive and held by "
+                         f"a float, got {k}")
     return WarpProfile(
         n=n,
         topology=Topology.SPHERE_LIKE,
@@ -249,10 +256,12 @@ def periodic_product_profile(c: float, a: float, n: int,
 
     a = 0 is the flat metric product S^1 x S^{n-1}.
     """
-    if not (0 <= a < c):
-        raise ValueError(f"periodic product needs 0 <= a < c, got a={a}, c={c}")
-    if not L > 0:  # before om divides by it
-        raise ValueError(f"domain length must be positive, got {L}")
+    if not (0 <= a < c <= sys.float_info.max):
+        raise ValueError(f"periodic product needs 0 <= a < c with c held by "
+                         f"a float, got a={a}, c={c}")
+    if not 0 < L <= sys.float_info.max:  # before om divides by it
+        raise ValueError(f"domain length must be positive and held by a "
+                         f"float, got {L}")
     om = 2.0 * math.pi / L
     return WarpProfile(
         n=n,
@@ -332,8 +341,13 @@ def profile_from_samples(r: Sequence[float], phi: Sequence[float], n: int,
     solved without importing scipy.interpolate: one symmetric tridiagonal
     LAPACK solve for its second derivatives (_cubic_spline).
     """
-    r = np.asarray(r, float)
-    phi = np.asarray(phi, float)
+    topology = Topology(topology)
+    try:
+        r = np.asarray(r, float)
+        phi = np.asarray(phi, float)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError("samples must be finite numbers that a float "
+                         "holds") from None
     if r.ndim != 1 or r.shape != phi.shape or r.size < 4:
         raise ValueError("samples need matching 1-d arrays of length >= 4")
     if not (np.isfinite(r).all() and np.isfinite(phi).all()):

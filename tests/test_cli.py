@@ -333,6 +333,14 @@ BAD_DOCUMENTS = [
                  "sweep.values[1]", id="sweep-value-too-large-for-a-float"),
     pytest.param("verify", {"n": 10 ** 400}, "n",
                  id="n-too-large-for-a-float"),
+    # a grid whose N + 1 float64 nodes no array index reaches
+    pytest.param("verify", {"grid": {"N": 10 ** 300}}, "grid.N",
+                 id="grid-N-10-to-the-300"),
+    pytest.param("verify", {"grid": {"N": 2 ** 62}}, "grid.N",
+                 id="grid-N-2-to-the-62"),
+    pytest.param("converge", {"converge": {"grids": [2 ** 60, 2 ** 61,
+                                                     2 ** 62]}},
+                 "converge.grids[0]", id="converge-grids-too-large"),
     pytest.param("verify", {"preset": {"type": "ellipsoid"}}, "preset.type",
                  id="preset-type-unknown"),
     # values each of which is a finite number, refused by the builder

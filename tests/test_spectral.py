@@ -463,7 +463,7 @@ def _peak(fn, N):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["bump", "periodic"])
+@pytest.mark.parametrize("name", ["bump", "periodic", "flat"])
 def test_solve_and_check_bound_memory(name):
     # what one solve allocates on top of its assembled operator: the
     # factor's d and e (and a pinned factor's g), the iterate and W y,
@@ -481,11 +481,15 @@ def test_solve_and_check_bound_memory(name):
     # arrays all alive at once; obata_check 13.53 N, two N more with
     # its scalar operator kept alive through the vector solve.  The
     # lower bound, which the factor and the iterate alone exceed, shows
-    # that tracemalloc sees numpy's buffers
+    # that tracemalloc sees numpy's buffers.  The flat product's vector
+    # seed spans the kernel and takes no step: that exit lets go of its
+    # node-conductance row before it forms the explicit residual, and a
+    # plain solve peaks at 13.02 N (14.02 N with the row kept)
     N = 2 ** 15
-    verdict, richardson = {"bump": (14.0, 14.0),
-                           "periodic": (15.0, 15.0)}[name]
-    spec = dict(_FINE_PROFILES[name])
+    verdict, richardson = {"bump": (14.0, 14.0), "periodic": (15.0, 15.0),
+                           "flat": (15.0, 15.0)}[name]
+    spec = dict({**_FINE_PROFILES, "flat": dict(_FINE_PROFILES["periodic"],
+                                                a=0.0)}[name])
     prof = make_preset(spec.pop("family"), **spec)
     geom = orbit_geometry(prof, grid_for(prof, N))
     for kind, solve in ((OperatorKind.ROUGH_VECTOR, smallest_eigenpair),
@@ -502,6 +506,9 @@ def test_solve_and_check_bound_memory(name):
     for kind in OperatorKind:
         assert _peak(lambda: solve_smallest(prof, kind, N, richardson=True),
                      N) <= richardson
+    if name == "flat":
+        assert _peak(lambda: solve_smallest(prof, OperatorKind.ROUGH_VECTOR,
+                                            N), N) <= 13.5
 
 
 @pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])
@@ -860,7 +867,7 @@ def test_blocked_reductions_match_whole_arrays(request, monkeypatch, profile,
     np.testing.assert_array_equal(op.matvec(x), Kx)
     assert op.quadform(x) == xKx
     r = Kx - 0.7 * (W * x)
-    assert op.residual_norm2(x, 0.7, W * x) == dot(r, r)
+    np.testing.assert_array_equal(op.residual(x, 0.7, W * x), r)
     r = v + 0.3 * (W * x)
     # with W y given, as a solve up to one block has it, and without
     assert spectral._combined_norm2(v.copy(), 0.3, W, x, W * x) == dot(r, r)

@@ -100,6 +100,22 @@ def test_periodic_product_refuses_a_length_before_dividing_by_it(L):
         dataclasses.replace(round_profile(k=1.0, n=3), L=L)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: round_profile(10 ** 400, 2),
+    lambda: make_preset("round", n=2, k=10 ** 400),
+    lambda: periodic_product_profile(1.0, 0.3, 3, L=10 ** 400),
+    lambda: check_bound(periodic_product_profile(10 ** 400, 0.3, 3), 64),
+    lambda: profile_from_samples([0, 1, 2, 10 ** 400], [0, 1, 1, 0], 2),
+    lambda: dataclasses.replace(round_profile(1.0, 3), L=10 ** 400),
+], ids=["round-k", "make-preset-k", "periodic-L", "periodic-c", "samples-r",
+        "profile-L"])
+def test_builders_refuse_a_number_too_large_for_a_float(build):
+    # an integer no float holds is a refusal of the builder's range, not
+    # an OverflowError out of the first float operation that meets it
+    with pytest.raises(ValueError, match="float"):
+        build()
+
+
 def test_make_preset_spellings():
     a = make_preset("PeriodicProduct", n=3, c=1.0, a=0.2)
     b = make_preset("periodic_product", n=3, c=1.0, a=0.2)
@@ -195,6 +211,51 @@ def test_grid_minimum_size():
         with pytest.raises(ValueError, match=f"integer, got {N!r}$"):
             warp.RadialGrid.halvable(N)
     assert grid_for(p, np.int64(64)).nodes.size == 65
+
+
+# a topology given by its value is read as Topology(...) reads it, so
+# that the whole object follows one topology
+
+
+def test_profile_reads_a_topology_value():
+    q = dataclasses.replace(round_profile(k=1.0, n=3), topology="sphere_like")
+    assert q.topology is Topology.SPHERE_LIKE
+    ensure_usable(q)  # checked as a sphere-like profile
+
+
+def test_samples_read_a_topology_value():
+    # a periodic spline, checked as a periodic profile
+    s = profile_from_samples(*_periodic_samples(), n=3, topology="periodic")
+    assert s.topology is Topology.PERIODIC
+    ensure_usable(s)
+
+
+def test_grid_reads_a_topology_value():
+    grid = warp.RadialGrid(64, 1.0, "periodic")
+    assert grid == warp.RadialGrid(64, 1.0, Topology.PERIODIC)
+    assert grid.nodes.size == grid.interior.size == 64
+
+
+def test_an_unknown_topology_is_refused():
+    p = round_profile(k=1.0, n=3)
+    for build in (lambda: dataclasses.replace(p, topology="torus"),
+                  lambda: warp.RadialGrid(64, 1.0, "torus"),
+                  lambda: profile_from_samples(*_periodic_samples(), n=3,
+                                               topology="torus")):
+        with pytest.raises(ValueError,
+                           match="'torus' is not a valid Topology"):
+            build()
+
+
+@pytest.mark.parametrize("N", [2 ** 60, 2 ** 62, 10 ** 300],
+                         ids=["2^60", "2^62", "10^300"])
+def test_grid_refuses_an_N_whose_nodes_cannot_be_addressed(N):
+    p = round_profile(k=1.0, n=2)
+    with pytest.raises(ValueError, match=f"^grid N = {N} is too large"):
+        grid_for(p, N)
+    # the largest N whose N + 1 nodes an array index still reaches
+    largest = np.iinfo(np.intp).max // 8 - 1
+    assert grid_for(p, largest).N == largest
 
 
 def test_config_errors_name_paths():
