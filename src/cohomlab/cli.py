@@ -217,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = None
     try:
-        return args.func(_load_config(args.config), args)
+        cfg = _load_config(args.config)
+        return args.func(cfg, args)
     except ConvergenceError as exc:
         print(json.dumps({"error": str(exc), "type": "solver",
                           "last_residual": exc.last_residual}))
@@ -227,8 +229,15 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         return 2
     except MemoryError as exc:  # a grid N too large for this machine
-        print(json.dumps({"error": str(exc) or "out of memory",
-                          "type": "MemoryError"}))
+        error = str(exc) or "out of memory"
+        if cfg is not None:  # named by the largest grid the command makes
+            grids = cfg.converge_grids
+            path, N = ((f"converge.grids[{len(grids) - 1}]", grids[-1])
+                       if args.command == "converge" else
+                       ("grid.N", cfg.grid.N))
+            error = (f"config path '{path}': grid N = {N} does not fit in "
+                     f"memory: {error}")
+        print(json.dumps({"error": error, "type": "MemoryError"}))
         return 2
 
 

@@ -143,8 +143,16 @@ def radial_calculus(fn: InvariantFunction | InvariantField,
     else:
         f = grid.retained(fn.values)
         fp = grid.retained(derivative(fn.values, grid, "odd"))
-    n = geom.n
-    return f, fp, fp - (n - 1) * f * geom.H, fp * fp + f * f * geom.B2
+    # fp * fp + f * f * B2, then fp - (n-1) f H in the row spent on
+    # f * f, each formed in place in the order of the whole-array
+    # expression: three N-sized rows beside fp
+    hess2 = fp * fp
+    row = f * f
+    row *= geom.B2
+    hess2 += row
+    np.multiply(geom.n - 1, f, out=row)
+    row *= geom.H
+    return f, fp, np.subtract(fp, row, out=row), hess2
 
 
 @dataclass(frozen=True)

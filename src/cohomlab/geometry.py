@@ -114,13 +114,15 @@ def orbit_geometry(profile: WarpProfile, grid: RadialGrid) -> OrbitGeometry:
     phi_mid = np.asarray(profile.phi(grid.midpoints), float)
     phi_retained = grid.retained(phi_nodes)
     require(profile, grid, positive=True, phi=phi_retained, phi_mid=phi_mid)
-    # the six arrays are rows of one block: glibc hands free heap back to
-    # the kernel above twice the largest block the process has freed, so
-    # with N-sized arrays alone every fine-grid op faults its pages in
-    # afresh, and freeing a block six times that size keeps them mapped
-    # up to N = 3 * 2^14.  Not at 2^16 and up, where a verdict still
-    # peaks above twice the block: fine-grid's median op there faults
-    # about 220-350 (2^16) and 1,400-1,600 (2^17) pages in (see README)
+    # the six arrays are rows of one block, and an operator takes w_mid
+    # and the retained w as views (spectral.assemble): glibc hands free
+    # heap back to the kernel above twice the largest block the process
+    # has freed, so with N-sized arrays alone every fine-grid op faults
+    # its pages in afresh, and freeing a block six times that size keeps
+    # them mapped up to N = 3 * 2^14.  Not at 2^16 and up, although a
+    # verdict there peaks at 11.1 N doubles, below twice the block:
+    # fine-grid's median op faults about 1,100 (2^16) and 700-960 (2^17)
+    # pages in (see README)
     block = np.empty((6, r.size))
     m = phi_retained.size
     H, B2, w, w_mid, phi, dphi = (block[0, :m], block[1, :m], block[2],
@@ -163,8 +165,22 @@ def ricci_profile(geom: OrbitGeometry) -> RicciProfile:
     ri = geom.grid.interior
     phi, dphi = geom.phi, geom.dphi
     d2phi = np.asarray(profile.d2phi(ri), float)
-    ric_radial = -(n - 1) * d2phi / phi
-    ric_tangential = -d2phi / phi + (n - 2) * (1.0 - dphi * dphi) / (phi * phi)
+    # -(n-1) phi''/phi and (n-2)(1 - phi'^2)/phi^2 + -phi''/phi, formed
+    # in place in the order of the whole-array expressions, so rounded
+    # alike (a sum or product in either order is the same double): with
+    # the nodes at most five N-sized rows are alive, below a solve's peak
+    ric_radial = np.multiply(-(n - 1), d2phi)
+    ric_radial /= phi
+    ric_tangential = dphi * dphi
+    np.subtract(1.0, ric_tangential, out=ric_tangential)
+    ric_tangential *= n - 2
+    quot = phi * phi
+    ric_tangential /= quot
+    np.negative(d2phi, out=quot)
+    del d2phi
+    quot /= phi
+    ric_tangential += quot
+    del quot
     require(profile, geom.grid, ric_radial=ric_radial,
             ric_tangential=ric_tangential)
     stacked = np.minimum(ric_radial, ric_tangential)

@@ -92,8 +92,10 @@ class ObataReport:
     profile the derivative g = f' of the vector minimizer is itself a
     scalar eigenfunction of eigenvalue mu = n*kappa2: the dimensionless
     ||K g - mu W g||_{W^-1} / (mu ||g||_W) with the scalar (K, W) that
-    gives mu1.  On Round it levels off near 1e-5 from N = 2^14 on (g
-    differentiates a computed eigenvector) instead of falling like dx^2.
+    gives mu1.  It does not fall like dx^2: on Round(1), n = 3, it was
+    measured growing about like N^3 from N = 2^14 on, 1.4e-5 at 2^14,
+    8.9e-4 at 2^16, 5.7e-2 at 2^18 and 3.45 at 2^20 (g differentiates a
+    computed eigenvector; ROADMAP item 34).
     """
 
     defect: float
@@ -121,15 +123,27 @@ def rigidity_diagnostics(minimizer: InvariantField,
     n = geom.n
     # the minimizer is the gradient profile f = h' of its potential h
     f, fp, lap, hess2 = radial_calculus(minimizer, geom)
-    i2 = weighted_integral(lap * lap, geom)
+    # each residual is formed in place, in the order of its whole-array
+    # expression, so rounded alike: with fp at most four N-sized rows
+    # are alive, below a solve's peak
+    lap *= lap
+    i2 = weighted_integral(lap, geom)
     ih = weighted_integral(hess2, geom)
-    # gone before the other residuals' temporaries are formed: at
-    # N = 2^15 a verdict would otherwise peak here, not in its solves
     del lap, hess2
     lap_eq = abs(i2 - n * ih) / max(1.0, i2)
 
-    umb = float((f * f * np.abs(geom.H ** 2 - geom.B2 / (n - 1))).max())
-    rad = math.sqrt(weighted_integral((fp + geom.H * f) ** 2, geom))
+    # f^2 |H^2 - |B|^2/(n-1)| and (f' + H f)^2
+    row, row2 = geom.H ** 2, geom.B2 / (n - 1)
+    row -= row2
+    np.abs(row, out=row)
+    np.multiply(f, f, out=row2)
+    row2 *= row
+    umb = float(row2.max())
+    del row2
+    np.multiply(geom.H, f, out=row)
+    row += fp
+    row **= 2
+    rad = math.sqrt(weighted_integral(row, geom))
     return RigidityDiagnostics(umbilic_residual=umb, radial_ode_residual=rad,
                                laplacian_equality_residual=lap_eq)
 
@@ -196,9 +210,7 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
         raise ValueError(
             f"Obata criterion needs kappa2 > 0; profile "
             f"{profile.preset_tag!r} has kappa2 = {kappa2:.6g}")
-    # of the solves keep only mu1, lambda_min and g: the scalar operator
-    # is assembled again for the residual, not kept alive through the
-    # vector solve
+    # of the solves keep only mu1, lambda_min and g
     mu1 = nested_solve(OperatorKind.SCALAR_LAPLACIAN, geom)[1].lam
     vec = nested_solve(OperatorKind.ROUGH_VECTOR, geom)[1]
     lam_min = vec.lam
@@ -206,9 +218,10 @@ def obata_check(profile: WarpProfile, N: int = 4096) -> ObataReport:
     del vec
     scalar = assemble(OperatorKind.SCALAR_LAPLACIAN, geom)
     mu = profile.n * kappa2
+    nu = mu * scalar.dx2  # mu on the scaled pencil (spectral.assemble)
     Wg = scalar.weight * g
-    res = scalar.residual(g, mu, Wg)
-    g_res = math.sqrt(dot(res, res / scalar.weight) / dot(g, Wg)) / mu
+    res = scalar.residual(g, nu, Wg)
+    g_res = math.sqrt(dot(res, res / scalar.weight) / dot(g, Wg)) / nu
     return ObataReport(defect=abs(mu1 - mu), mu1=mu1, kappa2=kappa2,
                        g_residual=g_res, lambda_min=lam_min, grid_N=grid.N)
 

@@ -26,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -77,12 +78,14 @@ BACKWARD_TOL = 1e-15
 # relative change of the eigenvalue between successive steps below
 # which that backward error is checked
 CHANGE_TOL = 1e-12
-# far shift sigma = -SHIFT * max(1, |lam_0|), the fallback wherever a
-# near shift (below) is refused.  K - sigma W must stay numerically
-# definite: every pivot of its L D L^T factor (dpttrf) positive.  On
-# the Neumann problem the constant mode gives it an eigenvalue of about
-# |sigma| w dx against ||K|| ~ 4 w / dx, and the ratio |sigma| dx^2 / 4
-# must stay well above machine epsilon: a shift of 1e-8 fails that from
+# far shift sigma = -SHIFT * max(dx^2, |nu_0|) on the pencil's
+# eigenvalues nu = lambda dx^2 (DiscreteOperator), -SHIFT * max(1,
+# |lambda_0|) in lambda's units: the fallback wherever a near shift
+# (below) is refused.  K - sigma W must stay numerically definite:
+# every pivot of its L D L^T factor (dpttrf) positive.  On the Neumann
+# problem the constant mode gives it an eigenvalue of about |sigma| w
+# against ||K|| ~ 4 w, and the ratio |sigma| / 4 = SHIFT dx^2 / 4 must
+# stay well above machine epsilon: a shift of 1e-8 fails that from
 # N = 2^16 on, 1e-2 holds past 2^20.
 SHIFT = 1e-2
 # near shift sigma = lam (1 - DELTA), just below the current quotient
@@ -90,9 +93,9 @@ SHIFT = 1e-2
 # then cuts the error by about DELTA lam / (lam_2 - lam).  It is kept
 # only if the factor that does the solves certifies, by Sylvester's law
 # of inertia, that no eigenvalue sought lies below it (_near_shift).
-# Its margin DELTA lam w dx against ||K|| keeps what that factor
-# factors definite well above rounding: DELTA lam dx^2 / 4 is about
-# 2e-14 at N = 2^20 on Round(1)
+# Its margin DELTA nu w against ||K|| ~ 4 w keeps what that factor
+# factors definite well above rounding: DELTA nu / 4 is about 2e-14 at
+# N = 2^20 on Round(1)
 DELTA = 1e-2
 # a solve whose first near shift was refused tries once more, at the
 # first far-shift step that moves lam by at most RETRY |lam|
@@ -165,15 +168,20 @@ def _combined_norm2(v: np.ndarray, c: float, W: np.ndarray, y: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Generalized symmetric eigenproblem K f = lambda W f in flux form.
+    """Generalized symmetric eigenproblem K f = nu W f in flux form.
 
     K f = D^T (cond * D f) + potential * f, with D f the cell
     differences of f (sphere-like: against zero pole values; periodic:
-    cyclic).  cond holds the per-cell conductances w_mid/dx, with the
-    two pole cells set to zero for Neumann so that no flux crosses a
-    pole; potential is dx w |B|^2 at the retained nodes (None for the
-    scalar Laplacian); weight is the diagonal mass W = w dx, positive
-    at every retained node.
+    cyclic).  This is the pencil (dx K', W' / dx) of the discretization
+    K' f = lambda W' f with conductances w_mid / dx, potential dx w |B|^2
+    and mass w dx: the same eigenvectors, and nu = lambda dx^2
+    (Parlett, The Symmetric Eigenvalue Problem), so that cond is the
+    geometry's own w_mid row and weight its w at the retained nodes,
+    views that no code here writes, and only potential = dx^2 w |B|^2
+    (None for the scalar Laplacian) is a row of its own.  weight is
+    positive at every retained node.  The sphere-like scalar kind is
+    Neumann: no flux crosses its two pole cells, whose cond entries it
+    reads as 0 (_node_cond, _diffs).
     """
 
     kind: OperatorKind
@@ -186,15 +194,28 @@ class DiscreteOperator:
     def size(self) -> int:
         return self.weight.size
 
-    @property
+    @cached_property
     def _periodic(self) -> bool:
         return self.grid.topology is Topology.PERIODIC
+
+    @cached_property
+    def _neumann(self) -> bool:
+        return (self.kind is OperatorKind.SCALAR_LAPLACIAN
+                and not self._periodic)
+
+    @cached_property
+    def dx2(self) -> float:
+        """dx^2, by which this pencil's eigenvalues nu exceed lambda's."""
+        return self.grid.dx * self.grid.dx
 
     def _node_cond(self) -> np.ndarray:
         """Conductance into each retained node: c_left + c_right."""
         c = self.cond
         if not self._periodic:
-            return c[:-1] + c[1:]
+            s = c[:-1] + c[1:]
+            if self._neumann:  # the pole cells conduct nothing
+                s[0], s[-1] = c[1], c[-2]
+            return s
         s = np.empty(c.size)
         s[0] = c[-1] + c[0]
         np.add(c[:-1], c[1:], out=s[1:])
@@ -214,8 +235,9 @@ class DiscreteOperator:
                b: Optional[int] = None) -> np.ndarray:
         """Differences of x (at the retained nodes) across cells a..b-1,
         by default all N: sphere-like cell j joins nodes j - 1 and j,
-        against zero pole values; periodic cell j joins nodes j and
-        j + 1 cyclically."""
+        against zero pole values, and a Neumann pole cell's difference
+        is 0, so that no flux crosses it; periodic cell j joins nodes j
+        and j + 1 cyclically."""
         # the cells whose two nodes are both retained are lo..hi-1 (the
         # clamps are conditional expressions: with max and min a call
         # over one block's cells took about 13 % longer)
@@ -233,9 +255,9 @@ class DiscreteOperator:
         hi = b if b < m else m
         np.subtract(x[lo:hi], x[lo - 1:hi - 1], out=d[lo - a:hi - a])
         if a == 0:
-            d[0] = x[0]
+            d[0] = 0.0 if self._neumann else x[0]
         if b == m + 1:
-            d[-1] = -x[-1]
+            d[-1] = 0.0 if self._neumann else -x[-1]
         return d
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -282,9 +304,10 @@ class DiscreteOperator:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """lam is the difference-form Rayleigh quotient of the eigenvector;
-    residual its normwise backward error (see _inverse_iterate); shift
-    the sigma of the K - sigma W solve that produced the eigenvector:
+    """lam is the difference-form Rayleigh quotient of the eigenvector,
+    whose W-norm is 1; residual its normwise backward error (see
+    _inverse_iterate); shift, in lam's units, the sigma of the
+    K - sigma W solve that produced the eigenvector:
     the near shift lam (1 - DELTA) of some earlier quotient lam where
     its factor certified it, else the far shift -SHIFT max(1, |lam_0|),
     and None if the seed needed no step."""
@@ -299,24 +322,19 @@ class SpectralResult:
 
 
 def assemble(kind: OperatorKind, geom: OrbitGeometry) -> DiscreteOperator:
-    """Build the flux-form operator pair (K, W) on geom's grid.
+    """Build the flux-form operator pair (K, W) on geom's grid, the
+    pencil whose eigenvalues are nu = lambda dx^2 (DiscreteOperator).
 
     Sphere-like grids retain the interior nodes 1..N-1 (the poles carry
     zero weight and either a Dirichlet value or no flux); periodic
     grids retain all N distinct nodes and close the cells cyclically.
     """
     grid = geom.grid
-    dx = grid.dx
-    cond = geom.w_mid / dx
-    w = geom.w_interior
-    potential = dx * w * geom.B2 if kind is OperatorKind.ROUGH_VECTOR else None
-    if (kind is OperatorKind.SCALAR_LAPLACIAN
-            and grid.topology is Topology.SPHERE_LIKE):
-        # Neumann: no flux through the poles, the two boundary cells conduct 0
-        cond[0] = cond[-1] = 0.0
-    weight = w * dx
+    weight = geom.w_interior
     require(geom.profile, grid, positive=True, mass=weight)
-    return DiscreteOperator(kind=kind, cond=cond, potential=potential,
+    potential = (grid.dx * grid.dx * weight * geom.B2
+                 if kind is OperatorKind.ROUGH_VECTOR else None)
+    return DiscreteOperator(kind=kind, cond=geom.w_mid, potential=potential,
                             weight=weight, grid=grid)
 
 
@@ -324,9 +342,9 @@ def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     """Rayleigh quotient F(V) = int (f'^2 + |B|^2 f^2) w / int f^2 w.
 
     F is exactly the quotient of the stiffness and mass forms of
-    assemble(ROUGH_VECTOR, geom), so every boundary-compatible trial
-    field satisfies F >= lambda_min up to solver tolerance, not just up
-    to discretization error.
+    assemble(ROUGH_VECTOR, geom), over dx^2, so every boundary-compatible
+    trial field satisfies F >= lambda_min up to solver tolerance, not
+    just up to discretization error.
     """
     if field.grid != geom.grid:
         raise ValueError("field and geometry live on different grids")
@@ -335,7 +353,7 @@ def energy_functional(field: InvariantField, geom: OrbitGeometry) -> float:
     den = dot(x, op.weight * x)
     if den == 0.0:
         raise ValueError("zero field")
-    return op.quadform(x) / den
+    return op.quadform(x) / den / op.dx2
 
 
 # --- tridiagonal solves --------------------------------------------------
@@ -395,7 +413,7 @@ def _factor(op: DiscreteOperator, sigma: float, pin: Optional[int] = None,
     # the diagonal is summed before it meets -sigma W: adding its two
     # terms to -sigma W one at a time rounds differently and moves
     # printed last digits.  d and e are fresh arrays: the factor
-    # overwrites them, and a view of cond would corrupt the operator
+    # overwrites them, and cond is a view of the geometry
     d = op._node_cond() if node is None else node
     if op.potential is not None:
         d += op.potential
@@ -508,23 +526,24 @@ def _fix_sign(x: np.ndarray) -> None:
 
 
 def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
-    """Shifted inverse iteration on K f = lambda W f from
-    _seed(op, start.pop()), start being _eigenpair's one-element list.
+    """Shifted inverse iteration on op's pencil K f = nu W f from
+    _seed(op, start.pop()), start being _eigenpair's one-element list;
+    nu = lambda dx^2, and every test below is scale-free.
 
-    One step solves (K - sigma W) y = W x and takes lambda as the
+    One step solves (K - sigma W) y = W x and takes nu as the
     difference-form quotient of y.  sigma is the near shift of the
     seed's quotient (_near_shift) if its factor certifies it, else the
-    far shift -SHIFT max(1, |lambda_0|).  Then, except on the periodic
+    far shift -SHIFT max(dx^2, |nu_0|).  Then, except on the periodic
     scalar kind, which has no certificate, the first step that moves
-    lambda by at most RETRY |lambda| tries the near shift of the current
+    nu by at most RETRY |nu| tries the near shift of the current
     iterate once more, and a second refusal keeps the far shift to the
-    end.  Iteration stops once lambda moved by at most CHANGE_TOL
-    max(|lambda|, eps ||K|| / max W) in the step and the
-    normwise backward error (Rigal-Gaches) eta = ||K y - lambda W y|| /
-    ((||K|| + |lambda| ||W||) ||y||) is at most BACKWARD_TOL.
+    end.  Iteration stops once nu moved by at most CHANGE_TOL
+    max(|nu|, eps ||K|| / max W) in the step and the
+    normwise backward error (Rigal-Gaches) eta = ||K y - nu W y|| /
+    ((||K|| + |nu| ||W||) ||y||) is at most BACKWARD_TOL.
     Since K y = W x + sigma W y, that residual costs no matvec, but the
     identity holds only for an exact solve: the returned residual, eta
-    of op.residual's explicit K y - lambda W y at the accepted iterate,
+    of op.residual's explicit K y - nu W y at the accepted iterate,
     can exceed BACKWARD_TOL (4.4e-14 on an asymmetric spline's scalar
     solve at N = 256, where a stop test on it stalls).
 
@@ -584,7 +603,7 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     near = _near_shift(op, lam, y, node)
     del node
     retry = near is None and not (scalar and op._periodic)
-    far = -SHIFT * max(1.0, abs(lam))
+    far = -SHIFT * max(op.dx2, abs(lam))
     sigma, solve = near or (far, _factor(op, far))
     del near  # solve is then the only reference to the factor
     change = math.inf
@@ -634,8 +653,12 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
         last_residual=eta)
 
 
-def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
+def _package(op: DiscreteOperator, nu: float, x: np.ndarray, iterations: int,
              residual: float, shift: Optional[float]) -> SpectralResult:
+    """The eigenpair (nu, x) of op's pencil in lambda's units: lambda =
+    nu / dx^2, the shift likewise, and f = x / sqrt(dx), whose W-norm
+    for the mass W = dx op.weight is x . op.weight x = 1."""
+    x /= math.sqrt(op.grid.dx)
     _fix_sign(x)
     grid = op.grid
     vector = op.kind is OperatorKind.ROUGH_VECTOR
@@ -651,9 +674,10 @@ def _package(op: DiscreteOperator, lam: float, x: np.ndarray, iterations: int,
     # values is a fresh array here, and a field's poles are exactly 0.0
     eigenfunction = (InvariantField._owning(values, grid) if vector
                      else InvariantFunction(values=values, grid=grid))
-    return SpectralResult(lam=lam, eigenfunction=eigenfunction,
+    return SpectralResult(lam=nu / op.dx2, eigenfunction=eigenfunction,
                           iterations=iterations, residual=residual,
-                          shift=shift, grid_N=grid.N)
+                          shift=None if shift is None else shift / op.dx2,
+                          grid_N=grid.N)
 
 
 def _eigenpair(op: DiscreteOperator, kind: OperatorKind, max_iter: int,

@@ -80,21 +80,28 @@ def test_verify_exit_one_on_violation(round_cfg, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["bound_holds"] is False
 
 
-@pytest.mark.parametrize("command", ["verify", "spectrum"])
-def test_out_of_memory_is_exit_two(round_cfg, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, path, N", [
+    ("verify", "grid.N", 512), ("spectrum", "grid.N", 512),
+    ("converge", "converge.grids[2]", 512)],
+    ids=["verify", "spectrum", "converge"])
+def test_out_of_memory_is_exit_two(periodic_cfg, capsys, monkeypatch,
+                                   command, path, N):
     # a grid too large for memory is a refusal (exit 2, one line of
-    # error JSON), not a violated bound (exit 1) with a traceback
+    # error JSON naming the config path of the grid and its N), not a
+    # violated bound (exit 1) with a traceback
     def oom(*args, **kwargs):
         raise MemoryError("Unable to allocate 22.4 GiB for an array")
 
-    monkeypatch.setattr("cohomlab.cli.check_bound", oom)
-    monkeypatch.setattr("cohomlab.cli.solve_smallest", oom)
-    code = main([command, "--config", round_cfg])
+    for name in ("check_bound", "solve_smallest", "convergence_study"):
+        monkeypatch.setattr(f"cohomlab.cli.{name}", oom)
+    code = main([command, "--config", periodic_cfg])
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1
-    assert json.loads(out) == {"error": "Unable to allocate 22.4 GiB for "
-                                        "an array", "type": "MemoryError"}
+    assert json.loads(out) == {
+        "error": f"config path '{path}': grid N = {N} does not fit in "
+                 f"memory: Unable to allocate 22.4 GiB for an array",
+        "type": "MemoryError"}
 
 
 def test_solver_error_is_exit_two(round_cfg, capsys, monkeypatch):

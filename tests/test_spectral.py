@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -34,16 +35,26 @@ def _dense(op):
 
 
 def test_assemble_shapes_and_boundaries(round_n2, periodic_n3):
-    # Dirichlet and periodic operators conduct through all N cells;
-    # Neumann cuts the two pole cells so that no flux leaves
-    op, grid, _ = _op(round_n2, OperatorKind.ROUGH_VECTOR)
+    # every operator's conductances are the geometry's w_mid row over
+    # all N cells and its mass the retained w, both views; Dirichlet and
+    # periodic operators conduct through all N cells, and Neumann reads
+    # the two pole cells as conducting nothing, so that no flux leaves
+    op, grid, geom = _op(round_n2, OperatorKind.ROUGH_VECTOR)
     assert op.size == grid.N - 1
-    assert op.cond.size == grid.N and np.all(op.cond > 0)
-    op, grid, _ = _op(round_n2, OperatorKind.SCALAR_LAPLACIAN)
-    assert op.cond.size == grid.N and op.cond[0] == op.cond[-1] == 0.0
-    op, grid, _ = _op(periodic_n3, OperatorKind.ROUGH_VECTOR)
+    assert op.cond is geom.w_mid and np.all(op.cond > 0)
+    assert op.weight.base is geom.w.base
+    node = op._node_cond()
+    assert (node[0], node[-1]) == (op.cond[0] + op.cond[1],
+                                   op.cond[-2] + op.cond[-1])
+    op, grid, geom = _op(round_n2, OperatorKind.SCALAR_LAPLACIAN)
+    assert op.cond is geom.w_mid and op.cond.size == grid.N
+    node = op._node_cond()
+    assert (node[0], node[-1]) == (op.cond[1], op.cond[-2])
+    d = op._diffs(np.arange(1.0, op.size + 1))
+    assert (d[0], d[-1]) == (0.0, 0.0) and np.all(d[1:-1] == 1.0)
+    op, grid, geom = _op(periodic_n3, OperatorKind.ROUGH_VECTOR)
     assert op.size == grid.N
-    assert op.cond.size == grid.N and np.all(op.cond > 0)
+    assert op.cond is geom.w_mid and np.all(op.cond > 0)
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -248,20 +259,39 @@ def test_factor_calls_per_solve(request, monkeypatch, profile, kind, N):
     monkeypatch.setattr(spectral, "_factor", spy)
     res = solve_smallest(request.getfixturevalue(profile), kind, N)
     assert len(sigmas) == _FACTOR_CALLS[profile, kind]
-    assert sigmas[-1] == res.shift
+    # the factor's sigma is on the pencil, whose eigenvalues are
+    # lambda dx^2; the result's shift is in lambda's units
+    dx = res.eigenfunction.grid.dx
+    assert sigmas[-1] / (dx * dx) == res.shift
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
 @pytest.mark.parametrize("profile", ["round_n2", "periodic_n3"])
 def test_factor_leaves_operator_alone(request, profile, kind):
     # the LAPACK factor works in place: it must get fresh arrays, never
-    # a view of the operator's own
-    op, _, _ = _op(request.getfixturevalue(profile), kind, 64)
+    # a view of the operator's own.  An operator's cond and weight are
+    # views of the geometry's rows (also of a restricted geometry's), so
+    # neither assemble nor a solve may write any row: the sphere-like
+    # scalar kind's Neumann pole cells are read as 0, never stored
+    prof = request.getfixturevalue(profile)
+    geom = orbit_geometry(prof, grid_for(prof, 64))
+    rows = {f.name: getattr(geom, f.name).copy()
+            for f in dataclasses.fields(geom)
+            if isinstance(getattr(geom, f.name), np.ndarray)}
+    assert len(rows) == 6
+    op = assemble(kind, geom)
     arrays = [a for a in (op.cond, op.potential, op.weight) if a is not None]
     before = [a.copy() for a in arrays]
     spectral._factor(op, -0.3)(np.ones(op.size))
     for a, saved in zip(arrays, before):
         assert np.array_equal(a, saved)
+    solve = (smallest_eigenpair if kind is OperatorKind.ROUGH_VECTOR
+             else first_nonzero_scalar_eigenvalue)
+    for run in (lambda: solve(op),
+                lambda: spectral.nested_solve(kind, geom, 2)):
+        run()
+        for name, saved in rows.items():
+            assert getattr(geom, name).tobytes() == saved.tobytes(), name
 
 
 def test_mass_is_positive(round_n2, periodic_n3):
@@ -324,25 +354,29 @@ def test_rayleigh_consistency(round_n2, bump01_n2, periodic_n3):
             # stored (zero or extended) pole values, whose cells a
             # Neumann operator does not conduct through
             d = np.diff(np.append(v, v[0]) if prof is periodic_n3 else v)
+            if op._neumann:
+                d[[0, -1]] = 0.0
             x = grid.retained(v)
             num = np.sum(op.cond * d * d)
             if op.potential is not None:
                 num += np.sum(op.potential * x * x)
             den = float(np.sum(x * op.weight * x))
-            assert res.lam == pytest.approx(num / den, rel=1e-12)
+            # the pencil's quotient is lambda dx^2
+            assert res.lam * op.dx2 == pytest.approx(num / den, rel=1e-12)
 
 
 def test_residual_certificate(bump01_n2):
     op, _, _ = _op(bump01_n2, OperatorKind.ROUGH_VECTOR, 1024)
     res = smallest_eigenpair(op)
     x = op.grid.retained(res.eigenfunction.values)
-    r = op.matvec(x) - res.lam * op.weight * x
+    nu = res.lam * op.dx2  # the pencil's eigenvalue
+    r = op.matvec(x) - nu * op.weight * x
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(op.weight * x)
     # the reported residual is the normwise backward error, here
     # recomputed from the dense K with the exact 2-norm
     K = _dense(op)
-    r = K @ x - res.lam * op.weight * x
-    eta = np.linalg.norm(r) / ((np.linalg.norm(K, 2) + abs(res.lam)
+    r = K @ x - nu * op.weight * x
+    eta = np.linalg.norm(r) / ((np.linalg.norm(K, 2) + abs(nu)
                                 * np.max(op.weight)) * np.linalg.norm(x))
     assert eta <= 1e-15
     assert res.residual == pytest.approx(eta, rel=0.5, abs=1e-17)
@@ -365,7 +399,8 @@ def test_eigenvalue_matches_dense_eigh(family, params, n, kind):
     dense = scipy.linalg.eigh(_dense(op), np.diag(op.weight),
                               eigvals_only=True)
     want = dense[0 if kind is OperatorKind.ROUGH_VECTOR else 1]
-    assert solve_smallest(profile, kind, 256).lam \
+    # the pencil's eigenvalue is lambda dx^2
+    assert solve_smallest(profile, kind, 256).lam * op.dx2 \
         == pytest.approx(want, rel=1e-10)
 
 
@@ -391,7 +426,7 @@ def test_eigenvalue_matches_dense_eigh_on_asymmetric_splines(i, kind):
     op, _, _ = _op(profile, kind, 256)
     want = _dense_eigh(op)[0][0 if kind is OperatorKind.ROUGH_VECTOR else 1]
     result = solve_smallest(profile, kind, 256)
-    assert result.lam == pytest.approx(want, rel=1e-10)
+    assert result.lam * op.dx2 == pytest.approx(want, rel=1e-10)
     # the stop test reads the step's identity residual, which assumes an
     # exact solve; the returned explicit one can exceed BACKWARD_TOL
     # (4.4e-14 on spline 6's scalar solve), not by orders of magnitude
@@ -472,22 +507,22 @@ def test_solve_and_check_bound_memory(name):
     # before the far shift factors, and the far shift's before a re-try
     # factors; no operator or solve may keep another N-sized array.  A
     # verdict and a Richardson solve hold that over the geometry's six
-    # rows and the operator's three (two for the scalar kind), but not
-    # the half grid's start, which the solve it seeds lets go; a
-    # circle's vector operator takes both three rows and a pinned
-    # factor.  The bounds are the measured peaks rounded up: check_bound
-    # 13.56 N and 14.54 N, Richardson 13.53 N and 14.53 N, half an N
-    # more with the start kept or with the rigidity residuals' whole
-    # arrays all alive at once; obata_check 13.53 N, two N more with
-    # its scalar operator kept alive through the vector solve.  The
-    # lower bound, which the factor and the iterate alone exceed, shows
-    # that tracemalloc sees numpy's buffers.  The flat product's vector
-    # seed spans the kernel and takes no step: that exit lets go of its
-    # node-conductance row before it forms the explicit residual, and a
-    # plain solve peaks at 13.02 N (14.02 N with the row kept)
+    # rows and the vector operator's potential (cond and weight are
+    # views of the geometry's rows), but not the half grid's start,
+    # which the solve it seeds lets go; a circle's vector solve takes a
+    # pinned factor too.  The bounds are the measured peaks rounded up:
+    # check_bound and Richardson 11.53 N on the flat product, 12.53 N
+    # for the circle's vector kind, half an N more with the start kept;
+    # on Bump(0.08) the geometry's own evaluation of phi' peaks at
+    # 12.01 N, above every solve.  The lower bound, which the factor and
+    # the iterate alone exceed, shows that tracemalloc sees numpy's
+    # buffers.  The flat product's vector seed spans the kernel and
+    # takes no step: that exit lets go of its node-conductance row
+    # before it forms the explicit residual, and a plain solve peaks at
+    # 11.02 N (12.02 N with the row kept)
     N = 2 ** 15
-    verdict, richardson = {"bump": (14.0, 14.0), "periodic": (15.0, 15.0),
-                           "flat": (15.0, 15.0)}[name]
+    verdict, richardson = {"bump": (12.1, 12.1), "periodic": (12.6, 12.6),
+                           "flat": (11.6, 11.6)}[name]
     spec = dict({**_FINE_PROFILES, "flat": dict(_FINE_PROFILES["periodic"],
                                                 a=0.0)}[name])
     prof = make_preset(spec.pop("family"), **spec)
@@ -508,7 +543,7 @@ def test_solve_and_check_bound_memory(name):
                      N) <= richardson
     if name == "flat":
         assert _peak(lambda: solve_smallest(prof, OperatorKind.ROUGH_VECTOR,
-                                            N), N) <= 13.5
+                                            N), N) <= 11.1
 
 
 @pytest.mark.parametrize("N", [2 ** 15, 3 * 2 ** 14])
@@ -791,7 +826,8 @@ def test_quadform_is_energy_functional(bump01_n2, periodic_n3):
                                    grid=grid)
         else:
             field = InvariantField(values=x, grid=grid)
-        quotient = op.quadform(x) / float(x @ (op.weight * x))
+        # the pencil's quotient is F dx^2
+        quotient = op.quadform(x) / float(x @ (op.weight * x)) / op.dx2
         assert quotient == pytest.approx(energy_functional(field, geom),
                                          rel=1e-14)
         # and the difference form is the stiffness x . K x
@@ -839,7 +875,7 @@ def test_blocked_reductions_match_whole_arrays(request, monkeypatch, profile,
         # a factor pinned where _near_shift pins it, at a shift whose
         # blocks factor at these sizes
         res = first_nonzero_scalar_eigenvalue(op)
-        sigma = 0.5 * res.lam
+        sigma = 0.5 * res.lam * op.dx2  # on the pencil
         pin = spectral._sign_change(res.eigenfunction.values[1:-1])
     rng = np.random.default_rng(size)
     x, v, b = rng.standard_normal((3, size))
@@ -857,6 +893,8 @@ def test_blocked_reductions_match_whole_arrays(request, monkeypatch, profile,
     # the cell differences and K x as whole arrays
     d = np.roll(x, -1) - x if not sphere else np.diff(x, prepend=0.0,
                                                       append=0.0)
+    if op._neumann:  # no difference across a pole cell
+        d[[0, -1]] = 0.0
     flux = op.cond * d
     Kx = np.roll(flux, 1) - flux if not sphere else flux[:-1] - flux[1:]
     xKx = dot(d, op.cond * d)
