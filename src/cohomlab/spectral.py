@@ -177,7 +177,7 @@ class DiscreteOperator:
     and mass w dx: the same eigenvectors, and nu = lambda dx^2
     (Parlett, The Symmetric Eigenvalue Problem), so that cond is the
     geometry's own w_mid row and weight its w at the retained nodes,
-    views that no code here writes, and only potential = dx^2 w |B|^2
+    read-only views, and only potential = dx^2 w |B|^2
     (None for the scalar Laplacian) is a row of its own.  weight is
     positive at every retained node.  The sphere-like scalar kind is
     Neumann: no flux crosses its two pole cells, whose cond entries it
@@ -334,7 +334,11 @@ def assemble(kind: OperatorKind, geom: OrbitGeometry) -> DiscreteOperator:
     require(geom.profile, grid, positive=True, mass=weight)
     potential = (grid.dx * grid.dx * weight * geom.B2
                  if kind is OperatorKind.ROUGH_VECTOR else None)
-    return DiscreteOperator(kind=kind, cond=geom.w_mid, potential=potential,
+    # read-only views: a write through the operator would land in the
+    # geometry, so numpy refuses it (ValueError)
+    cond, weight = geom.w_mid.view(), weight.view()
+    cond.flags.writeable = weight.flags.writeable = False
+    return DiscreteOperator(kind=kind, cond=cond, potential=potential,
                             weight=weight, grid=grid)
 
 
@@ -649,7 +653,8 @@ def _inverse_iterate(op: DiscreteOperator, max_iter: int, start: list):
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (backward error "
         f"{eta:.3e}, target {BACKWARD_TOL:g}; last eigenvalue change "
-        f"{change:.3e}, target {CHANGE_TOL * max(abs(lam), lam_floor):.3e})",
+        f"{change / op.dx2:.3e}, target "
+        f"{CHANGE_TOL * max(abs(lam), lam_floor) / op.dx2:.3e})",
         last_residual=eta)
 
 

@@ -34,27 +34,35 @@ def _dense(op):
     return np.column_stack([op.matvec(e) for e in np.eye(op.size)])
 
 
+def _is_frozen_view(a, row):
+    """a is a read-only view of exactly row's memory."""
+    return (not a.flags.writeable and a.shape == row.shape
+            and a.strides == row.strides
+            and a.ctypes.data == row.ctypes.data)
+
+
 def test_assemble_shapes_and_boundaries(round_n2, periodic_n3):
     # every operator's conductances are the geometry's w_mid row over
-    # all N cells and its mass the retained w, both views; Dirichlet and
-    # periodic operators conduct through all N cells, and Neumann reads
-    # the two pole cells as conducting nothing, so that no flux leaves
+    # all N cells and its mass the retained w, both read-only views;
+    # Dirichlet and periodic operators conduct through all N cells, and
+    # Neumann reads the two pole cells as conducting nothing, so that no
+    # flux leaves
     op, grid, geom = _op(round_n2, OperatorKind.ROUGH_VECTOR)
     assert op.size == grid.N - 1
-    assert op.cond is geom.w_mid and np.all(op.cond > 0)
-    assert op.weight.base is geom.w.base
+    assert _is_frozen_view(op.cond, geom.w_mid) and np.all(op.cond > 0)
+    assert _is_frozen_view(op.weight, geom.w_interior)
     node = op._node_cond()
     assert (node[0], node[-1]) == (op.cond[0] + op.cond[1],
                                    op.cond[-2] + op.cond[-1])
     op, grid, geom = _op(round_n2, OperatorKind.SCALAR_LAPLACIAN)
-    assert op.cond is geom.w_mid and op.cond.size == grid.N
+    assert _is_frozen_view(op.cond, geom.w_mid) and op.cond.size == grid.N
     node = op._node_cond()
     assert (node[0], node[-1]) == (op.cond[1], op.cond[-2])
     d = op._diffs(np.arange(1.0, op.size + 1))
     assert (d[0], d[-1]) == (0.0, 0.0) and np.all(d[1:-1] == 1.0)
     op, grid, geom = _op(periodic_n3, OperatorKind.ROUGH_VECTOR)
     assert op.size == grid.N
-    assert op.cond is geom.w_mid and np.all(op.cond > 0)
+    assert _is_frozen_view(op.cond, geom.w_mid) and np.all(op.cond > 0)
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -270,9 +278,10 @@ def test_factor_calls_per_solve(request, monkeypatch, profile, kind, N):
 def test_factor_leaves_operator_alone(request, profile, kind):
     # the LAPACK factor works in place: it must get fresh arrays, never
     # a view of the operator's own.  An operator's cond and weight are
-    # views of the geometry's rows (also of a restricted geometry's), so
-    # neither assemble nor a solve may write any row: the sphere-like
-    # scalar kind's Neumann pole cells are read as 0, never stored
+    # read-only views of the geometry's rows (also of a restricted
+    # geometry's), so neither assemble nor a solve may write any row:
+    # the sphere-like scalar kind's Neumann pole cells are read as 0,
+    # never stored
     prof = request.getfixturevalue(profile)
     geom = orbit_geometry(prof, grid_for(prof, 64))
     rows = {f.name: getattr(geom, f.name).copy()
@@ -280,6 +289,9 @@ def test_factor_leaves_operator_alone(request, profile, kind):
             if isinstance(getattr(geom, f.name), np.ndarray)}
     assert len(rows) == 6
     op = assemble(kind, geom)
+    for view in (op.cond, op.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
     arrays = [a for a in (op.cond, op.potential, op.weight) if a is not None]
     before = [a.copy() for a in arrays]
     spectral._factor(op, -0.3)(np.ones(op.size))
@@ -371,7 +383,8 @@ def test_residual_certificate(bump01_n2):
     x = op.grid.retained(res.eigenfunction.values)
     nu = res.lam * op.dx2  # the pencil's eigenvalue
     r = op.matvec(x) - nu * op.weight * x
-    assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(op.weight * x)
+    # r is dx (K' x - lambda W' x) and op.weight x is W' x / dx
+    assert np.linalg.norm(r) <= 1e-8 * op.dx2 * np.linalg.norm(op.weight * x)
     # the reported residual is the normwise backward error, here
     # recomputed from the dense K with the exact 2-norm
     K = _dense(op)
@@ -1037,6 +1050,10 @@ def test_convergence_error_carries_residual(round_n2):
     with pytest.raises(ConvergenceError) as info:
         smallest_eigenpair(op, max_iter=1)
     assert info.value.last_residual > 0
+    # the change's target is in lambda's units, not the pencil's
+    # nu = lambda dx^2: CHANGE_TOL lambda, with lambda near 1 on Round(1)
+    target = str(info.value).rpartition("target ")[2].rstrip(")")
+    assert float(target) == pytest.approx(spectral.CHANGE_TOL, rel=1e-3)
 
 
 def test_no_public_callable_takes_tol():
